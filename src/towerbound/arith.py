@@ -62,9 +62,27 @@ def parse_decimal(text: str) -> int:
     return sign * int(t)
 
 
+# ``str`` refuses ints longer than sys.get_int_max_str_digits() digits (4300
+# by default, never below 640), so longer values are rendered in pieces.
+_SAFE_DIGITS = 512
+_SAFE_LIMIT = 10**_SAFE_DIGITS
+
+
 def format_decimal(n: int) -> str:
-    """Render ``n`` in plain decimal with no separators (JSON-safe for any size)."""
-    return str(n)
+    """Render ``n`` in plain decimal with no separators (JSON-safe for any size).
+
+    Values of more than a few hundred digits are split on a power of ten into
+    halves rendered the same way, so no interpreter-wide setting is touched.
+    """
+    if n < 0:
+        return "-" + format_decimal(-n)
+    if n < _SAFE_LIMIT:
+        return str(n)
+    k = _SAFE_DIGITS
+    while 10 ** (2 * k) <= n:
+        k *= 2
+    hi, lo = divmod(n, 10**k)
+    return format_decimal(hi) + format_decimal(lo).zfill(k)
 
 
 def mul_many(factors: Iterable[int]) -> int:

@@ -326,7 +326,7 @@ def cmd_verify_factorization(args: argparse.Namespace) -> int:
                 "conductor": args.conductor,
                 "target": args.target,
                 "factors": [f.render(False) for f in factors],
-                "factor_norms": [str(n) for n in norms],
+                "factor_norms": [arith.format_decimal(n) for n in norms],
                 "product": product.render(False),
                 "status": status,
                 "diagnostics": [d.to_json() for d in diags],
@@ -337,7 +337,8 @@ def cmd_verify_factorization(args: argparse.Namespace) -> int:
         lines = [
             f"conductor: {args.conductor}",
             f"target: {args.target}",
-            f"factors: {len(factors)} (norms: {', '.join(map(str, norms))})",
+            f"factors: {len(factors)} "
+            f"(norms: {', '.join(map(arith.format_decimal, norms))})",
             f"product: {product.render()}",
             f"status: {status}",
         ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import arith, zpoly
 
@@ -158,26 +158,37 @@ class CycloElement:
             raise ValueError("element is not a rational integer")
         return self.coeffs[0] if self.coeffs else 0
 
-    def conjugate(self, i: int) -> "CycloElement":
-        """Image under zeta |-> zeta^i, for i coprime to the conductor."""
-        m = self.modulus.m
-        if math.gcd(i, m) != 1:
-            raise arith.NotCoprime(f"{i} is not coprime to {m}")
-        raw = [0] * m
-        for k, c in enumerate(self.coeffs):
-            raw[(k * i) % m] += c
-        return CycloElement.from_coeffs(self.modulus, raw)
-
     def norm(self) -> int:
-        """Field norm to Q: the product of all Galois conjugates."""
+        """Field norm to Q, exact, by evaluation at the roots of Phi_m mod q.
+
+        N(a) = prod a(omega^k) over gcd(k, m) = 1, for omega a primitive m-th
+        root of unity; this is the resultant Res(Phi_m, a) (Cohen, A Course in
+        Computational Algebraic Number Theory, 4.3).  The product is taken
+        modulo word-size primes q = 1 (mod m), where those roots exist in F_q,
+        until the primes' product exceeds twice the bound ||a||_1^phi(m) on
+        |N(a)|; the residues are combined by CRT and lifted to the symmetric
+        range.  The zero element has norm 0.
+        """
         m = self.modulus.m
-        acc = CycloElement.integer(self.modulus, 1)
-        for i in range(1, m + 1):
-            if math.gcd(i, m) == 1:
-                acc = acc * self.conjugate(i)
-        if not acc.is_constant():
-            raise ArithmeticError("norm did not reduce to a rational integer")
-        return acc.constant_value()
+        terms = [(i, c) for i, c in enumerate(self.coeffs) if c]
+        if not terms:
+            return 0
+        units = [k for k in range(m) if math.gcd(k, m) == 1]
+        bound = 2 * sum(abs(c) for _, c in terms) ** self.modulus.phi
+        residue, modulus = 0, 1
+        primes = _word_primes(m)
+        while modulus <= bound:
+            q, omega = next(primes)
+            powers = [1] * m
+            for i in range(1, m):
+                powers[i] = powers[i - 1] * omega % q
+            reduced = [(i, c % q) for i, c in terms]
+            acc = 1
+            for k in units:
+                acc = acc * sum(c * powers[i * k % m] for i, c in reduced) % q
+            residue += modulus * ((acc - residue) * pow(modulus, -1, q) % q)
+            modulus *= q
+        return residue - modulus if residue > modulus // 2 else residue
 
     # -- display ------------------------------------------------------
 
@@ -194,6 +205,39 @@ def cyclo_mul(mod: CycloModulus, factors: Iterable[CycloElement]) -> CycloElemen
     for f in factors:
         acc = acc * f
     return acc
+
+
+def _root_of_unity(m: int, q: int) -> int:
+    """A primitive m-th root of unity modulo the prime q > 2, q = 1 (mod m).
+
+    Takes omega = x^((q-1)/m) for x = 2, 3, ...; omega has order exactly m
+    once omega^(m/r) != 1 for every prime r | m.
+    """
+    e = (q - 1) // m
+    prime_divisors = tuple(arith.factorize(m))
+    for x in range(2, q):
+        omega = pow(x, e, q)
+        if all(pow(omega, m // r, q) != 1 for r in prime_divisors):
+            return omega
+    raise ArithmeticError(f"no primitive {m}-th root of unity modulo {q}")
+
+
+# (q, omega) pairs per conductor: primes q = 1 (mod m) below 2**63, where the
+# Miller-Rabin battery of arith.is_prime is a proof, found downwards and kept.
+_WORD_PRIMES: dict[int, list[tuple[int, int]]] = {}
+
+
+def _word_primes(m: int) -> Iterator[tuple[int, int]]:
+    found = _WORD_PRIMES.setdefault(m, [])
+    i = 0
+    while True:
+        if i == len(found):
+            q = found[-1][0] - m if found else (2**63 - 2) // m * m + 1
+            while not arith.is_prime(q):
+                q -= m
+            found.append((q, _root_of_unity(m, q)))
+        yield found[i]
+        i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +272,10 @@ def _render_element(el: CycloElement, unicode_ok: bool) -> str:
             continue
         mag = abs(c)
         if e == 0:
-            body = str(mag)
+            body = arith.format_decimal(mag)
         else:
             tok = _zeta_token(m, e, unicode_ok)
-            body = tok if mag == 1 else f"{mag}{tok}"
+            body = tok if mag == 1 else arith.format_decimal(mag) + tok
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -337,19 +381,28 @@ def match_up_to_unit(el: CycloElement, target: int) -> tuple[int, int] | None:
     """Does ``el`` equal ``target`` times a root of unity +-zeta^k?
 
     Returns (sign, k) with el = sign * target * zeta^k, preferring the exact
-    match (1, 0) when it exists; None when no such unit works.
+    match (1, 0) when it exists; None when no such unit works.  Only an
+    element whose coefficients ``target`` all divide can match, so el/target
+    is compared with +zeta^k, then -zeta^k, for k = 0, 1, ..., m - 1; each
+    power comes from the previous one by a shift and one subtraction of
+    Phi_m.  Target 0 matches only the zero element, as (1, 0).
     """
+    if target == 0:
+        return (1, 0) if el.is_zero() else None
+    if any(c % target for c in el.coeffs):
+        return None
+    unit = tuple(c // target for c in el.coeffs)
     mod = el.modulus
-    tgt = CycloElement.integer(mod, target)
-    if el == tgt:
-        return (1, 0)
+    z = (1,) + (0,) * (mod.phi - 1)
     for k in range(mod.m):
-        z = CycloElement.zeta_power(mod, k)
-        cand = tgt * z
-        if el == cand:
+        if unit == z:
             return (1, k)
-        if el == -cand:
+        if unit == tuple(-c for c in z):
             return (-1, k)
+        top = z[-1]
+        z = tuple(
+            (z[i - 1] if i else 0) - top * mod.poly[i] for i in range(mod.phi)
+        )
     return None
 
 
@@ -421,27 +474,20 @@ class PrimeAbove:
 def primes_above(q: int, m: int) -> tuple[PrimeAbove, ...]:
     """The phi(m) degree-1 primes above a totally split q, by ascending root.
 
-    Requires residue degree 1 (:class:`NotTotallySplit` otherwise); the roots
-    of the m-th cyclotomic polynomial mod q are found by direct scan, which is
-    fine for the desk-scale q this package selects.
+    Requires residue degree 1 (:class:`NotTotallySplit` otherwise).  The roots
+    of the m-th cyclotomic polynomial mod q are the primitive m-th roots of
+    unity omega^k, gcd(k, m) = 1, for any one of them, omega; finding omega
+    and its powers costs O(phi(m) log q).  The only even split prime is q = 2
+    over m <= 2, where Phi_m = x + 1 mod 2 has the single root 1.
     """
     sd = splitting_data(q, m)
     if sd.f != 1:
         raise NotTotallySplit(
             f"{q} has residue degree {sd.f} > 1 in conductor {m}"
         )
-    mod = cyclotomic_polynomial(m)
-    poly = list(mod.poly)
-    roots = [a for a in range(q) if _eval_mod(poly, a, q) == 0]
-    if len(roots) != mod.phi:
-        raise ArithmeticError(
-            f"expected {mod.phi} roots mod {q}, found {len(roots)}"
-        )
+    if q == 2:
+        roots = [1]
+    else:
+        omega = _root_of_unity(m, q)
+        roots = sorted(pow(omega, k, q) for k in range(m) if math.gcd(k, m) == 1)
     return tuple(PrimeAbove(q=q, m=m, root=r) for r in roots)
-
-
-def _eval_mod(p: Sequence[int], x: int, q: int) -> int:
-    acc = 0
-    for c in reversed(list(p)):
-        acc = (acc * x + c) % q
-    return acc

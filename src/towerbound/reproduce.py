@@ -279,7 +279,7 @@ def _check_kummer_element(fx: Fixture, plan: TowerPlan) -> CheckResult:
         )
     if pinned % product == 0:
         ratio = pinned // product
-        if arith.is_prime(ratio) and plan.base.prime_qualifies(ratio):
+        if ratio == _next_qualifying_prime(plan):
             diag = catalog.make(
                 "EX1-ALPHA-EXTRA-PRIME",
                 f"the pinned value equals the product of the listed primes "
@@ -318,6 +318,19 @@ def _check_kummer_element(fx: Fixture, plan: TowerPlan) -> CheckResult:
         f"pinned value does not match the recomputed product and the "
         f"difference is not catalogued (product {len(str(product))} digits, "
         f"pinned {len(str(pinned))} digits)",
+    )
+
+
+def _next_qualifying_prime(plan: TowerPlan) -> int:
+    """The prime the plan's search would select after its last one.
+
+    That is the first prime above the last selected one that qualifies in
+    the base and is not the excluded tower prime p.
+    """
+    return next(
+        q
+        for q in arith.primes(plan.selected_primes[-1] + 1)
+        if q != plan.p and plan.base.prime_qualifies(q)
     )
 
 

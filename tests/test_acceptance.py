@@ -13,6 +13,7 @@ by exactly 431, and that the reproduction machinery diagnoses this as
 EX1-ALPHA-EXTRA-PRIME instead of silently repairing it.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -21,6 +22,7 @@ import time
 
 import pytest
 
+from towerbound import reproduce
 from towerbound.bounds import ambiguous_lower, build_certificate
 from towerbound.cyclotomic import (
     CycloElement,
@@ -161,6 +163,30 @@ def test_c02_example1_pinned_element_is_prime_product(run_cli):
     assert diag["code"] == "EX1-ALPHA-EXTRA-PRIME"
     assert diag["severity"] == "warning"
     assert "431" in diag["message"] and "419" in diag["message"]
+
+
+def test_ex1_extra_prime_diagnostic_only_for_the_next_qualifying_prime():
+    # 443 also qualifies (prime, 443 = 2 mod 3) but comes after 431, so an α
+    # carrying it must not be reported as "the next qualifying prime after
+    # 419"; nor may a qualifying prime below 419 (2) or the excluded tower
+    # prime (3).
+    fx = get_fixture("example1")
+    plan = build_plan("example1")
+    product = plan.alpha
+    for extra in (431, 443, 2, 3):
+        assert _naive_is_prime(extra)
+        check = reproduce._check_kummer_element(
+            dataclasses.replace(fx, pinned_alpha=product * extra), plan
+        )
+        codes = [d.code for d in check.diagnostics]
+        if extra == 431:
+            assert codes == ["EX1-ALPHA-EXTRA-PRIME"]
+            assert "431, which is the next qualifying prime after 419" in (
+                check.diagnostics[0].message
+            )
+        else:
+            assert "EX1-ALPHA-EXTRA-PRIME" not in codes, extra
+            assert all("next qualifying" not in d.message for d in check.diagnostics)
 
 
 def test_c03_example2_list_and_element():

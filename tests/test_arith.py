@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -102,3 +103,31 @@ def test_parse_and_format_decimal():
     assert arith.format_decimal(10**30) == "1" + "0" * 30
     with pytest.raises(ValueError):
         arith.parse_decimal("12x3")
+
+
+def _chunked_decimal(n):
+    """Independent renderer: peel 100-digit groups off with divmod."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    groups = []
+    while True:
+        n, r = divmod(n, 10**100)
+        groups.append(f"{r:0100d}")
+        if n == 0:
+            break
+    return sign + ("".join(reversed(groups)).lstrip("0") or "0")
+
+
+def test_format_decimal_beyond_int_str_limit():
+    # the interpreter-wide limit (absent before Python 3.10.7) is left alone
+    limit_of = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    limit = limit_of()
+    rng = random.Random(4300)
+    values = [0, 7, -7, 10**511, 10**512, 10**512 - 1, -(10**4300), 10**4300 - 1]
+    values += [rng.randrange(10**20000) * rng.choice((-1, 1)) for _ in range(5)]
+    values += [10**k + rng.randrange(10**k) for k in (1023, 1024, 5000, 9999)]
+    for n in values:
+        text = arith.format_decimal(n)
+        assert text == _chunked_decimal(n)
+    assert arith.format_decimal(10**4300 - 1) == "9" * 4300
+    assert arith.format_decimal(-(10**5000)) == "-1" + "0" * 5000
+    assert limit_of() == limit

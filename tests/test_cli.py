@@ -1,4 +1,5 @@
 import json
+import time
 
 from towerbound.fixtures import get_fixture
 
@@ -169,3 +170,48 @@ def test_usage_error_exits_2(run_cli):
     assert code == 2
     code, _, _ = run_cli()
     assert code == 2
+
+
+def _chunked_decimal(n):
+    """Independent renderer: peel 100-digit groups off with divmod."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    groups = []
+    while True:
+        n, r = divmod(n, 10**100)
+        groups.append(f"{r:0100d}")
+        if n == 0:
+            break
+    return sign + ("".join(reversed(groups)).lstrip("0") or "0")
+
+
+def test_verify_factorization_norm_beyond_int_str_limit(run_cli):
+    # N(1 + a*zeta^3) over Q(zeta_31) is prod (1 + a*zeta^k) = sum_{j<=30} (-a)^j,
+    # about 6000 digits for a = 10**200.
+    a, a_text = 10**200, "1" + "0" * 200
+    want = _chunked_decimal(sum((-a) ** j for j in range(31)))
+    assert len(want) == 6000
+    args = ["verify-factorization", "--conductor", "31", "--target", "5",
+            "--factor", f"{a_text}*zeta31^3+1"]
+    code, out, err = run_cli(*args)
+    assert code == 1, err
+    assert f"factors: 1 (norms: {want})\n" in out
+    assert "status: mismatch" in out
+    code, out, err = run_cli(*args, "--json")
+    assert code == 1, err
+    doc = json.loads(out)
+    assert doc["factor_norms"] == [want]
+    assert doc["factors"] == [f"{a_text}zeta31^3 + 1"]
+
+
+def test_verify_factorization_conductor_421_is_fast(run_cli):
+    # N(zeta^5 + 1) = Phi_421(-1) = 1 and N(zeta^7 - 1) = Phi_421(1) = 421.
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        "verify-factorization", "--conductor", "421", "--target", "7",
+        "--factor", "zeta421^5 + 1", "--factor", "zeta421^7 - 1",
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 1, err
+    assert "factors: 2 (norms: 1, 421)" in out
+    assert "status: mismatch" in out
+    assert elapsed < 5.0, elapsed

@@ -78,16 +78,92 @@ def test_modulus_mismatch():
         _ = a + b
 
 
+# ---------------------------------------------------------------------------
+# Naive oracles for the fast paths: the norm as a product of conjugates in
+# Z[x]/Phi_m, unit matching by multiplying the target by every zeta^k, and
+# the primes above q by scanning every residue for a root of Phi_m.
+# ---------------------------------------------------------------------------
+
+ORACLE_CONDUCTORS = tuple(range(1, 41)) + (45, 60, 64, 127)
+
+
+def _conjugate(a, i):
+    """Image under zeta |-> zeta^i, for i coprime to the conductor."""
+    m = a.modulus.m
+    if math.gcd(i, m) != 1:
+        raise arith.NotCoprime(f"{i} is not coprime to {m}")
+    raw = [0] * m
+    for k, c in enumerate(a.coeffs):
+        raw[(k * i) % m] += c
+    return CycloElement.from_coeffs(a.modulus, raw)
+
+
+def _naive_norm(a):
+    m = a.modulus.m
+    acc = CycloElement.integer(a.modulus, 1)
+    for i in range(1, m + 1):
+        if math.gcd(i, m) == 1:
+            acc = acc * _conjugate(a, i)
+    assert acc.is_constant()
+    return acc.constant_value()
+
+
+def _naive_match(el, target):
+    mod = el.modulus
+    tgt = CycloElement.integer(mod, target)
+    if el == tgt:
+        return (1, 0)
+    for k in range(mod.m):
+        cand = tgt * CycloElement.zeta_power(mod, k)
+        if el == cand:
+            return (1, k)
+        if el == -cand:
+            return (-1, k)
+    return None
+
+
+def _eval_mod(p, x, q):
+    acc = 0
+    for c in reversed(list(p)):
+        acc = (acc * x + c) % q
+    return acc
+
+
+def _naive_roots(q, m):
+    poly = cyclotomic_polynomial(m).poly
+    return tuple(a for a in range(q) if _eval_mod(poly, a, q) == 0)
+
+
+def _oracle_elements(rng, mod):
+    """Zero, sparse, dense and (below conductor 127) huge-coefficient elements."""
+    phi = mod.phi
+    sparse = [0] * phi
+    for _ in range(2):
+        sparse[rng.randrange(phi)] += rng.choice((-3, -1, 1, 2))
+    out = [
+        CycloElement(mod, (0,) * phi),
+        CycloElement(mod, tuple(sparse)),
+        _random_element(rng, mod),
+    ]
+    if mod.m < 127:
+        out.append(
+            CycloElement(
+                mod, tuple(rng.randrange(-(10**40), 10**40 + 1) for _ in range(phi))
+            )
+        )
+    return out
+
+
 def test_conjugate_is_ring_map():
     rng = random.Random(321)
     mod = cyclotomic_polynomial(7)
     for _ in range(20):
         a, b = _random_element(rng, mod), _random_element(rng, mod)
         for i in (2, 3, 6):
-            assert (a * b).conjugate(i) == a.conjugate(i) * b.conjugate(i)
-            assert (a + b).conjugate(i) == a.conjugate(i) + b.conjugate(i)
+            assert _conjugate(a * b, i) == _conjugate(a, i) * _conjugate(b, i)
+            assert _conjugate(a + b, i) == _conjugate(a, i) + _conjugate(b, i)
     with pytest.raises(arith.NotCoprime):
-        _random_element(rng, mod).conjugate(7)
+        _conjugate(_random_element(rng, mod), 7)
 
 
 def test_norm_multiplicative_and_integers():
@@ -98,6 +174,70 @@ def test_norm_multiplicative_and_integers():
         assert (a * b).norm() == a.norm() * b.norm()
     assert CycloElement.integer(mod, 3).norm() == 3**4
     assert CycloElement.zeta_power(mod, 2).norm() == 1
+
+
+def test_norm_matches_conjugate_product():
+    rng = random.Random(2024)
+    for m in ORACLE_CONDUCTORS:
+        mod = cyclotomic_polynomial(m)
+        for a in _oracle_elements(rng, mod):
+            assert a.norm() == _naive_norm(a), (m, a.coeffs)
+
+
+def test_norm_of_integer_minus_zeta_is_phi_m_value():
+    # N(x - zeta) = prod (x - zeta^k) = Phi_m(x), coefficients up to 10**40
+    for m in ORACLE_CONDUCTORS:
+        mod = cyclotomic_polynomial(m)
+        for x in (-(10**40), -7, 0, 1, 2, 10**40):
+            a = CycloElement.integer(mod, x) - CycloElement.zeta_power(mod, 1)
+            assert a.norm() == zpoly.eval_at(list(mod.poly), x), (m, x)
+
+
+def test_match_up_to_unit_matches_naive_loop():
+    rng = random.Random(7)
+    for m in ORACLE_CONDUCTORS:
+        mod = cyclotomic_polynomial(m)
+        ks = {0, 1, m // 2, m - 1, rng.randrange(m)}
+        targets = (0, 1, -1, 2, -2, -7, 43) if m < 127 else (0, -2, 43)
+        for target in targets:
+            tgt = CycloElement.integer(mod, target)
+            cases = [tgt * CycloElement.zeta_power(mod, k) for k in sorted(ks)]
+            cases += [-c for c in cases]
+            cases += [c + CycloElement.integer(mod, 1) for c in cases]
+            cases += [CycloElement.integer(mod, 2 * target)]
+            cases += _oracle_elements(rng, mod)[:3]
+            for el in cases:
+                assert match_up_to_unit(el, target) == _naive_match(el, target), (
+                    m, target, el.coeffs,
+                )
+
+
+def test_match_up_to_unit_even_conductor_prefers_smallest_k():
+    # For even m, zeta^(k + m/2) = -zeta^k, so both signs match; the smaller
+    # exponent wins, and at equal exponent the positive sign.
+    for m in (2, 4, 6, 8, 12, 60, 64):
+        mod = cyclotomic_polynomial(m)
+        for k in range(m):
+            for sign in (1, -1):
+                z = CycloElement.zeta_power(mod, k)
+                el = CycloElement.integer(mod, sign * -7) * z
+                want = (sign, k) if k < m // 2 else (-sign, k - m // 2)
+                assert match_up_to_unit(el, -7) == want == _naive_match(el, -7)
+
+
+def test_primes_above_matches_root_scan():
+    for m in ORACLE_CONDUCTORS:
+        phi = arith.euler_phi(m)
+        split = [
+            q for q in range(2, 40 * m + 50)
+            if arith.is_prime(q)
+            and (m <= 2 or m % q)
+            and splitting_data(q, m).f == 1
+        ][:3]
+        for q in split:
+            roots = tuple(p.root for p in primes_above(q, m))
+            assert len(roots) == phi
+            assert roots == _naive_roots(q, m), (q, m)
 
 
 def test_render_and_parse_roundtrip():
