@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import catalog
+from .arith import format_decimal
 from .catalog import Diagnostic
 from .report import json_safe_int
 from .tower import TowerPlan
@@ -248,16 +249,11 @@ class BoundCertificate:
             headers += ["fine-claimed", "fine-conservative"]
         table = [headers]
         for r in self.rows:
-            row = [
-                str(r.layer),
-                str(r.ramified_places),
-                str(r.layer_degree),
-                str(r.ambiguous_bound),
-                str(r.class_rank_bound),
-            ]
+            cells = [r.layer, r.ramified_places, r.layer_degree, r.ambiguous_bound,
+                     r.class_rank_bound]
             if fine:
-                row += [str(r.fine_claimed), str(r.fine_conservative)]
-            table.append(row)
+                cells += [r.fine_claimed, r.fine_conservative]
+            table.append([format_decimal(c) for c in cells])
         widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
         lines = []
         for idx, row in enumerate(table):

@@ -4,7 +4,14 @@ Subcommands: reproduce, construct, verify-factorization, split, inert-primes,
 certificate.  Text is the default; --json switches to a canonical JSON
 document (schema 1) that is byte-identical across runs for the same inputs.
 Exit codes: 0 success (possibly with catalogued warnings), 1 a check or
-validation failed, 2 malformed input.
+validation failed, 2 malformed input.  Commands raise, and ``main`` maps the
+exception through ``_EXIT_CODES`` to one ``<command>: <reason>`` line on
+stderr: ValidationFailed (then its failed items), SearchExhausted and
+EqualPrimes exit 1; ValueError (parse errors included) and OSError (say, an
+unwritable --out) exit 2.  The parser exits 2 on out-of-range numbers:
+--n-max must lie in [0, 1000], a cap on the certificate's rows; conductors
+must be >= 1 and --count >= 0.  No argv ends in a traceback, which
+tests/test_cli_fuzz.py checks on seeded random argv.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import arith, catalog, cyclotomic
 from .bounds import AbelianVarietyDesc, build_certificate
@@ -21,6 +28,7 @@ from .report import stable_json, wrap_document
 from .reproduce import run_reproduction
 from .tower import (
     CyclotomicBase,
+    EqualPrimes,
     FAMILY_ABELIAN,
     FAMILY_NILPOTENT,
     GroupSpec,
@@ -34,6 +42,30 @@ _BUNDLED_AV = {
     "11a1": ("11a1", 1, True, (11,)),
     "19a1": ("19a1", 1, True, (19,)),
 }
+
+#: The exit code of each exception a command may raise, tried in order
+#: (EqualPrimes is a ValueError, so it must precede that entry).
+_EXIT_CODES = {
+    ValidationFailed: 1,
+    arith.SearchExhausted: 1,
+    EqualPrimes: 1,
+    ValueError: 2,
+    OSError: 2,
+}
+
+
+def _int_in(lo: int, hi: int | None = None) -> Callable[[str], int]:
+    """An argparse type: a decimal integer in [lo, hi], unbounded above if hi is None."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # keeps argparse's "invalid int value" wording
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     layered = argparse.ArgumentParser(add_help=False)
     layered.add_argument(
         "--n-max",
-        type=int,
+        type=_int_in(0, 1000),  # a cap: certificate rows are built eagerly
         default=4,
         help="deepest tower layer to tabulate (default 4)",
     )
@@ -100,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
             "cubic base shipped with example3, checklist included"
         ),
     )
-    con.add_argument("--conductor", type=int, default=None)
+    con.add_argument("--conductor", type=_int_in(1), default=None)
     con.add_argument(
         "--gap-rank",
         type=int,
@@ -120,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="multiply cyclotomic-integer factors and compare with a target",
     )
-    ver.add_argument("--conductor", type=int, required=True)
+    ver.add_argument("--conductor", type=_int_in(1), required=True)
     ver.add_argument("--target", type=int, required=True)
     ver.add_argument(
         "--factor",
@@ -137,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="splitting data (e, f, g) of a rational prime in Q(zeta_m)",
     )
     spl.add_argument("prime", type=int)
-    spl.add_argument("conductor", type=int)
+    spl.add_argument("conductor", type=_int_in(1))
     spl.set_defaults(func=cmd_split)
 
     ine = sub.add_parser(
@@ -145,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="first k rational primes inert in Q(zeta_m)",
     )
-    ine.add_argument("conductor", type=int)
-    ine.add_argument("--count", type=int, required=True)
+    ine.add_argument("conductor", type=_int_in(1))
+    ine.add_argument("--count", type=_int_in(0), required=True)
     ine.add_argument(
         "--exclude",
         type=int,
@@ -216,8 +248,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     )
     if args.base == "cyclotomic":
         if args.conductor is None:
-            print("construct: --base cyclotomic requires --conductor", file=sys.stderr)
-            return 2
+            raise ValueError("--base cyclotomic requires --conductor")
         base = CyclotomicBase(conductor=args.conductor)
         checklist = None
     else:
@@ -226,11 +257,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         from .fixtures import _example3_checklist  # bundled base, bundled facts
 
         if args.p != ex3.group.p:
-            print(
-                f"construct: the bundled cubic base assumes p = {ex3.group.p}",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError(f"the bundled cubic base assumes p = {ex3.group.p}")
         checklist = _example3_checklist(base, args.p)
 
     av = None
@@ -245,22 +272,14 @@ def cmd_construct(args: argparse.Namespace) -> int:
         if args.gap_rank is None:
             args.gap_rank = 0
 
-    try:
-        plan = build_tower_plan(
-            args.ell,
-            group,
-            base,
-            args.rank_target,
-            checklist=checklist,
-            gap_rank=args.gap_rank,
-        )
-    except (ValidationFailed, arith.SearchExhausted, ValueError) as err:
-        print(f"construct: {err}", file=sys.stderr)
-        if isinstance(err, ValidationFailed):
-            for item in err.report.failures:
-                print(f"  {item.render()}", file=sys.stderr)
-        return 1
-
+    plan = build_tower_plan(
+        args.ell,
+        group,
+        base,
+        args.rank_target,
+        checklist=checklist,
+        gap_rank=args.gap_rank,
+    )
     cert = build_certificate(plan, av=av, n_max=args.n_max)
     if args.json:
         doc = wrap_document(
@@ -269,6 +288,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         )
         _deliver(args, stable_json(doc))
     else:
+        alpha = arith.format_decimal(plan.alpha)
         lines = [
             "construction",
             f"  group: {plan.group.describe()}",
@@ -277,7 +297,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             f" (formula value {plan.ramified_target_formula})",
             f"  selected primes ({len(plan.selected_primes)}): "
             + ", ".join(map(str, plan.selected_primes)),
-            f"  alpha ({len(str(plan.alpha))} digits): {plan.alpha}",
+            f"  alpha ({len(alpha)} digits): {alpha}",
             "",
         ]
         lines.extend(cert.to_text_lines())
@@ -286,14 +306,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_factorization(args: argparse.Namespace) -> int:
-    try:
-        mod = cyclotomic.cyclotomic_polynomial(args.conductor)
-        factors = [
-            cyclotomic.parse_cyclo_element(s, args.conductor) for s in args.factor
-        ]
-    except (cyclotomic.ElementParseError, ValueError) as err:
-        print(f"verify-factorization: {err}", file=sys.stderr)
-        return 2
+    mod = cyclotomic.cyclotomic_polynomial(args.conductor)
+    factors = [cyclotomic.parse_cyclo_element(s, args.conductor) for s in args.factor]
     product = cyclotomic.cyclo_mul(mod, factors)
     norms = [f.norm() for f in factors]
     match = cyclotomic.match_up_to_unit(product, args.target)
@@ -351,71 +365,48 @@ def cmd_split(args: argparse.Namespace) -> int:
     try:
         sd = cyclotomic.splitting_data(args.prime, args.conductor)
     except cyclotomic.RamifiedPrime:
-        if args.json:
-            doc = wrap_document(
-                "splitting",
-                {
-                    "conductor": args.conductor,
-                    "prime": args.prime,
-                    "classification": "ramified",
-                    "e": None,
-                    "f": None,
-                    "g": None,
-                },
-            )
-            _deliver(args, stable_json(doc))
-        else:
-            _deliver(
-                args,
-                f"{args.prime} in Q(zeta_{args.conductor}): ramified "
-                f"(divides the conductor)\n",
-            )
-        return 1
-    except ValueError as err:
-        print(f"split: {err}", file=sys.stderr)
-        return 2
+        sd = None  # a result, not an error: reported, with exit 1
     if args.json:
         doc = wrap_document(
             "splitting",
             {
-                "conductor": sd.m,
-                "prime": sd.q,
-                "classification": sd.classification,
-                "e": sd.e,
-                "f": sd.f,
-                "g": sd.g,
+                "conductor": args.conductor,
+                "prime": args.prime,
+                "classification": sd.classification if sd else "ramified",
+                "e": sd.e if sd else None,
+                "f": sd.f if sd else None,
+                "g": sd.g if sd else None,
             },
         )
         _deliver(args, stable_json(doc))
-    else:
+    elif sd:
         _deliver(
             args,
             f"{sd.q} in Q(zeta_{sd.m}): e={sd.e} f={sd.f} g={sd.g} "
             f"- {sd.classification}\n",
         )
-    return 0
+    else:
+        _deliver(
+            args,
+            f"{args.prime} in Q(zeta_{args.conductor}): ramified "
+            f"(divides the conductor)\n",
+        )
+    return 0 if sd else 1
 
 
 def cmd_inert_primes(args: argparse.Namespace) -> int:
-    def inert_or_skip(q: int) -> bool:
-        try:
-            return cyclotomic.is_inert(q, args.conductor)
-        except cyclotomic.RamifiedPrime:
-            return False
-
-    try:
-        found = arith.primes_ascending(
-            args.count,
-            predicate=inert_or_skip,
-            exclude=set(args.exclude),
-            ceiling=args.ceiling,
+    if args.count and not cyclotomic.unit_group_is_cyclic(args.conductor):
+        raise arith.SearchExhausted(
+            f"found only 0 of {args.count} primes below {args.ceiling}: "
+            f"(Z/{args.conductor})* is not cyclic, so no prime is inert in "
+            f"Q(zeta_{args.conductor})"
         )
-    except arith.SearchExhausted as err:
-        print(f"inert-primes: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
-        print(f"inert-primes: {err}", file=sys.stderr)
-        return 2
+    found = arith.primes_ascending(
+        args.count,
+        predicate=CyclotomicBase(args.conductor).prime_qualifies,
+        exclude=set(args.exclude),
+        ceiling=args.ceiling,
+    )
     if args.json:
         doc = wrap_document(
             "inert-primes",
@@ -461,7 +452,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(_EXIT_CODES) as err:
+        print(f"{args.command}: {err}", file=sys.stderr)
+        if isinstance(err, ValidationFailed):
+            for item in err.report.failures:
+                print(f"  {item.render()}", file=sys.stderr)
+        return next(c for exc, c in _EXIT_CODES.items() if isinstance(err, exc))
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ multiplicative order of q mod m; no factorization of ideals is ever needed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -28,6 +29,7 @@ __all__ = [
     "SplittingData",
     "splitting_data",
     "is_inert",
+    "unit_group_is_cyclic",
     "PrimeAbove",
     "primes_above",
 ]
@@ -55,8 +57,8 @@ def _cyclo_poly_coeffs(m: int) -> tuple[int, ...]:
 
     Computed by exact division: Phi_m = (x^m - 1) / prod_{d | m, d < m} Phi_d.
     """
-    if m < 1:
-        raise ValueError("conductor must be >= 1")
+    if not 1 <= m <= sys.maxsize:  # Phi_m's m + 1 coefficients must fit a list
+        raise ValueError(f"conductor must be in [1, {sys.maxsize}]")
     num = [0] * m + [1]
     num[0] = -1
     den = [1]
@@ -110,11 +112,6 @@ class CycloElement:
     def integer(mod: CycloModulus, n: int) -> "CycloElement":
         return CycloElement.from_coeffs(mod, [n])
 
-    @staticmethod
-    def zeta_power(mod: CycloModulus, k: int) -> "CycloElement":
-        k %= mod.m
-        return CycloElement.from_coeffs(mod, [0] * k + [1])
-
     # -- ring operations ----------------------------------------------
 
     def _check(self, other: "CycloElement") -> None:
@@ -149,14 +146,6 @@ class CycloElement:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def is_constant(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def constant_value(self) -> int:
-        if not self.is_constant():
-            raise ValueError("element is not a rational integer")
-        return self.coeffs[0] if self.coeffs else 0
 
     def norm(self) -> int:
         """Field norm to Q, exact, by evaluation at the roots of Phi_m mod q.
@@ -345,7 +334,7 @@ def parse_cyclo_element(text: str, m: int) -> CycloElement:
     )
     raw = [0] * m
     saw_term = False
-    for t in terms:
+    for n, t in enumerate(terms, 1):
         mt = term_re.match(t)
         if not mt:
             raise ElementParseError(f"bad term {t!r} in {text!r}")
@@ -354,18 +343,23 @@ def parse_cyclo_element(text: str, m: int) -> CycloElement:
         if digits is None and not has_zeta:
             raise ElementParseError(f"bad term {t!r} in {text!r}")
         cond_s = sub_cond or ascii_cond
-        if cond_s is not None and int(cond_s) != m:
+        try:
+            cond = int(cond_s) if cond_s is not None else m
+            coef = int(digits) if digits is not None else 1
+            exp = int(exp_s) if exp_s is not None else 1
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            shown = t if len(t) <= 40 else f"{t[:20]}...{t[-10:]}"
+            raise ElementParseError(
+                f"term {n} ({shown!r}, {len(t)} characters) holds a number "
+                f"too long to read"
+            ) from None
+        if cond != m:
             raise ElementParseError(
                 f"conductor {cond_s} in {text!r} does not match {m}"
             )
-        coef = int(digits) if digits is not None else 1
         if sign_s == "-":
             coef = -coef
-        if has_zeta:
-            exp = int(exp_s) if exp_s is not None else 1
-        else:
-            exp = 0
-        raw[exp % m] += coef
+        raw[exp % m if has_zeta else 0] += coef
         saw_term = True
     if not saw_term:
         raise ElementParseError(f"no terms found in {text!r}")
@@ -456,6 +450,22 @@ def is_inert(q: int, m: int) -> bool:
     """
     sd = splitting_data(q, m)
     return sd.g == 1
+
+
+def unit_group_is_cyclic(m: int) -> bool:
+    """Whether (Z/m)* is cyclic, i.e. m in {1, 2, 4, r^k, 2 r^k} for odd primes r.
+
+    Only then can a prime be inert in Q(zeta_m), for it must generate (Z/m)*.
+    """
+    if m in (1, 2, 4):
+        return True
+    rest = m
+    if rest % 2 == 0:
+        rest //= 2
+        if rest % 2 == 0:
+            return False
+    fac = arith.factorize(rest)
+    return len(fac) == 1 and (2 not in fac)
 
 
 @dataclass(frozen=True)

@@ -221,16 +221,6 @@ def _poly_deg(p: Sequence) -> int:
     return len(p) - 1
 
 
-def _poly_add(K: Field, a: Sequence, b: Sequence) -> FqPoly:
-    zero = K.zero
-    n = max(len(a), len(b))
-    out = [
-        K.add(a[i] if i < len(a) else zero, b[i] if i < len(b) else zero)
-        for i in range(n)
-    ]
-    return _poly_trim(K, out)
-
-
 def _poly_sub(K: Field, a: Sequence, b: Sequence) -> FqPoly:
     zero = K.zero
     n = max(len(a), len(b))

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from .arith import format_decimal
+
 __all__ = ["SCHEMA_VERSION", "json_safe_int", "stable_json", "wrap_document"]
 
 SCHEMA_VERSION = 1
@@ -15,7 +17,7 @@ _JSON_INT_LIMIT = 2**53
 
 
 def json_safe_int(v: int) -> int | str:
-    return v if -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT else str(v)
+    return v if -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT else format_decimal(v)
 
 
 def stable_json(doc: Any) -> str:

@@ -104,7 +104,7 @@ class ReproductionResult:
             lines.append(
                 f"  selection: {len(p.selected_primes)} primes, "
                 f"{len(p.selected_places)} places, alpha has "
-                f"{len(str(p.alpha))} digits"
+                f"{len(arith.format_decimal(p.alpha))} digits"
             )
         lines.append("  checks:")
         for c in self.checks:

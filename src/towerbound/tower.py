@@ -286,19 +286,6 @@ def ramified_place_target(
 # ---------------------------------------------------------------------------
 
 
-def _is_cyclic_modulus(c: int) -> bool:
-    """Whether (Z/cZ)* is cyclic, i.e. c in {1, 2, 4, q^k, 2 q^k} for odd q."""
-    if c in (1, 2, 4):
-        return True
-    rest = c
-    if rest % 2 == 0:
-        rest //= 2
-        if rest % 2 == 0:
-            return False
-    fac = arith.factorize(rest)
-    return len(fac) == 1 and (2 not in fac)
-
-
 @dataclass(frozen=True)
 class CyclotomicBase:
     """Base field Q(zeta_c): the degree-2 step is complex conjugation."""
@@ -332,7 +319,7 @@ class CyclotomicBase:
             ),
             CheckItem(
                 "base-galois-group-cyclic",
-                _is_cyclic_modulus(self.conductor),
+                cyclotomic.unit_group_is_cyclic(self.conductor),
                 f"(Z/{self.conductor})* must be cyclic",
             ),
             CheckItem(
@@ -349,7 +336,8 @@ class CyclotomicBase:
         items.append(
             CheckItem(
                 "unique-prime-above-p",
-                self._unique_prime_above(group.p),
+                # only for prime p: at p = 1 the p-part loop below never ends
+                arith.is_prime(group.p) and self._unique_prime_above(group.p),
                 f"p = {group.p} must have a single place in {self.describe()}",
             )
         )
@@ -574,6 +562,7 @@ class TowerPlan:
         return {"nodes": nodes, "edges": edges}
 
     def to_json_doc(self) -> dict:
+        alpha = arith.format_decimal(self.alpha)
         doc: dict = {
             "ell": self.ell,
             "p": self.p,
@@ -592,8 +581,8 @@ class TowerPlan:
             "ramified_target_formula": self.ramified_target_formula,
             "selected_primes": list(self.selected_primes),
             "selected_places": [pl.to_json() for pl in self.selected_places],
-            "alpha": str(self.alpha),
-            "alpha_digits": len(str(self.alpha)),
+            "alpha": alpha,
+            "alpha_digits": len(alpha),
             "first_effective_layer": self.first_effective_layer,
             "field_diagram": self.field_diagram(),
             "diagnostics": [d.to_json() for d in self.diagnostics],

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 from towerbound.fixtures import get_fixture
@@ -215,3 +216,64 @@ def test_verify_factorization_conductor_421_is_fast(run_cli):
     assert "factors: 2 (norms: 1, 421)" in out
     assert "status: mismatch" in out
     assert elapsed < 5.0, elapsed
+
+
+def test_construct_alpha_beyond_int_str_limit(run_cli):
+    # 1540 primes inert in Q(zeta_3) multiply to an alpha of about 6500 digits.
+    args = ["construct", "--ell", "5", "--p", "3", "--conductor", "3",
+            "--rank-target", "1500"]
+    code, out, err = run_cli(*args)
+    assert code == 0, err
+    listed = next(ln for ln in out.splitlines() if "selected primes (1540)" in ln)
+    primes = [int(q) for q in listed.split(": ", 1)[1].split(", ")]
+    want = _chunked_decimal(math.prod(primes))
+    assert len(want) > 4300
+    assert f"  alpha ({len(want)} digits): {want}\n" in out
+    code, out, err = run_cli(*args, "--json")
+    assert code == 0, err
+    plan = json.loads(out)["plan"]
+    assert plan["selected_primes"] == primes
+    assert (plan["alpha"], plan["alpha_digits"]) == (want, len(want))
+
+
+def test_certificate_cells_beyond_int_str_limit(run_cli):
+    # With p = 10**50 + 151 (prime, 2 mod 3) the layer-90 row has ~4500 digits.
+    p = 10**50 + 151
+    args = ["construct", "--ell", "5", "--p", str(p), "--conductor", "3",
+            "--rank-target", "1", "--n-max", "90"]
+    ramified, degree = 41 * p**90, 40 * p**90
+    code, out, err = run_cli(*args)
+    assert code == 0, err
+    row = out.splitlines()[7 + 2 + 90].split()
+    assert row == ["90"] + [_chunked_decimal(v) for v in (ramified, degree, p**90, p**90)]
+    code, out, err = run_cli(*args, "--json")
+    assert code == 0, err
+    last = json.loads(out)["certificate"]["rows"][-1]
+    assert last["ramified_places"] == _chunked_decimal(ramified)
+    assert last["class_rank_bound"] == _chunked_decimal(p**90)
+
+
+def test_verify_factorization_coefficient_too_long_to_read(run_cli):
+    code, out, err = run_cli(
+        "verify-factorization", "--conductor", "7", "--target", "1",
+        "--factor", "7" * 4401 + "*zeta7^2 + 1",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("verify-factorization: term 1 (")
+    assert "4409 characters) holds a number too long to read\n" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_inert_primes_none_when_unit_group_not_cyclic(run_cli):
+    # (Z/8)* is not cyclic: exit 1 before any scan, at the default ceiling.
+    start = time.perf_counter()
+    code, out, err = run_cli("inert-primes", "8", "--count", "1")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (1, "")
+    assert err == (
+        "inert-primes: found only 0 of 1 primes below 10000000: (Z/8)* is not "
+        "cyclic, so no prime is inert in Q(zeta_8)\n"
+    )
+    code, out, err = run_cli("inert-primes", "8", "--count", "0", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["primes"] == []

@@ -17,6 +17,7 @@ from towerbound.cyclotomic import (
     parse_cyclo_element,
     primes_above,
     splitting_data,
+    unit_group_is_cyclic,
 )
 
 
@@ -45,6 +46,17 @@ def test_degree_is_phi():
         assert cyclotomic_polynomial(m).phi == arith.euler_phi(m)
 
 
+def _zeta(mod, k):
+    """zeta_m^k, reduced to the power basis."""
+    return CycloElement.from_coeffs(mod, [0] * (k % mod.m) + [1])
+
+
+def _constant(a):
+    """The rational integer ``a``, which must have no zeta terms."""
+    assert all(c == 0 for c in a.coeffs[1:]), a.coeffs
+    return a.coeffs[0] if a.coeffs else 0
+
+
 def _random_element(rng, mod):
     return CycloElement(
         mod, tuple(rng.randrange(-5, 6) for _ in range(mod.phi))
@@ -64,7 +76,7 @@ def test_ring_axioms_seeded():
 
 def test_zeta_power_order():
     mod = cyclotomic_polynomial(7)
-    z = CycloElement.zeta_power(mod, 1)
+    z = _zeta(mod, 1)
     acc = CycloElement.integer(mod, 1)
     for _ in range(7):
         acc = acc * z
@@ -104,8 +116,7 @@ def _naive_norm(a):
     for i in range(1, m + 1):
         if math.gcd(i, m) == 1:
             acc = acc * _conjugate(a, i)
-    assert acc.is_constant()
-    return acc.constant_value()
+    return _constant(acc)
 
 
 def _naive_match(el, target):
@@ -114,7 +125,7 @@ def _naive_match(el, target):
     if el == tgt:
         return (1, 0)
     for k in range(mod.m):
-        cand = tgt * CycloElement.zeta_power(mod, k)
+        cand = tgt * _zeta(mod, k)
         if el == cand:
             return (1, k)
         if el == -cand:
@@ -173,7 +184,7 @@ def test_norm_multiplicative_and_integers():
         a, b = _random_element(rng, mod), _random_element(rng, mod)
         assert (a * b).norm() == a.norm() * b.norm()
     assert CycloElement.integer(mod, 3).norm() == 3**4
-    assert CycloElement.zeta_power(mod, 2).norm() == 1
+    assert _zeta(mod, 2).norm() == 1
 
 
 def test_norm_matches_conjugate_product():
@@ -189,7 +200,7 @@ def test_norm_of_integer_minus_zeta_is_phi_m_value():
     for m in ORACLE_CONDUCTORS:
         mod = cyclotomic_polynomial(m)
         for x in (-(10**40), -7, 0, 1, 2, 10**40):
-            a = CycloElement.integer(mod, x) - CycloElement.zeta_power(mod, 1)
+            a = CycloElement.integer(mod, x) - _zeta(mod, 1)
             assert a.norm() == zpoly.eval_at(list(mod.poly), x), (m, x)
 
 
@@ -201,7 +212,7 @@ def test_match_up_to_unit_matches_naive_loop():
         targets = (0, 1, -1, 2, -2, -7, 43) if m < 127 else (0, -2, 43)
         for target in targets:
             tgt = CycloElement.integer(mod, target)
-            cases = [tgt * CycloElement.zeta_power(mod, k) for k in sorted(ks)]
+            cases = [tgt * _zeta(mod, k) for k in sorted(ks)]
             cases += [-c for c in cases]
             cases += [c + CycloElement.integer(mod, 1) for c in cases]
             cases += [CycloElement.integer(mod, 2 * target)]
@@ -219,7 +230,7 @@ def test_match_up_to_unit_even_conductor_prefers_smallest_k():
         mod = cyclotomic_polynomial(m)
         for k in range(m):
             for sign in (1, -1):
-                z = CycloElement.zeta_power(mod, k)
+                z = _zeta(mod, k)
                 el = CycloElement.integer(mod, sign * -7) * z
                 want = (sign, k) if k < m // 2 else (-sign, k - m // 2)
                 assert match_up_to_unit(el, -7) == want == _naive_match(el, -7)
@@ -257,10 +268,10 @@ def test_parse_specific_forms():
     b = parse_cyclo_element("zeta7^5 + 2*zeta7^3 + 1", 7)
     assert a == b
     c = parse_cyclo_element("-zeta^2", 7)  # conductor implied
-    assert c == -CycloElement.zeta_power(mod, 2)
+    assert c == -_zeta(mod, 2)
     d = parse_cyclo_element("zeta7^9", 7)  # exponent folds mod 7
-    assert d == CycloElement.zeta_power(mod, 2)
-    assert parse_cyclo_element("-14", 7).constant_value() == -14
+    assert d == _zeta(mod, 2)
+    assert _constant(parse_cyclo_element("-14", 7)) == -14
 
 
 def test_parse_rejects():
@@ -269,6 +280,26 @@ def test_parse_rejects():
     for bad in ("", "zeta7^", "x + 1", "zeta7^2^3", "2 -"):
         with pytest.raises(ElementParseError):
             parse_cyclo_element(bad, 7)
+
+
+def test_parse_rejects_numbers_too_long_to_read():
+    # 4401 digits is past CPython's default int-from-text limit of 4300.
+    long = "7" * 4401
+    for text, term in ((f"1 + {long}*zeta7^2", 2), (f"zeta7^{long}", 1),
+                       (f"zeta{long} - 1", 1)):
+        with pytest.raises(ElementParseError) as exc:
+            parse_cyclo_element(text, 7)
+        msg = str(exc.value)
+        assert msg.startswith(f"term {term} (") and len(msg) < 120, msg
+        assert msg.endswith("holds a number too long to read"), msg
+
+
+def test_unit_group_is_cyclic_matches_element_orders():
+    # (Z/m)* is cyclic iff some unit's order equals its size phi(m).
+    for m in range(1, 200):
+        units = [a for a in range(1, m + 1) if math.gcd(a, m) == 1]
+        cyclic = any(arith.mult_order(a, m) == len(units) for a in units)
+        assert unit_group_is_cyclic(m) == cyclic, m
 
 
 def test_splitting_data_known_cases():
@@ -325,7 +356,7 @@ def test_match_up_to_unit():
     mod = cyclotomic_polynomial(7)
     t = CycloElement.integer(mod, 43)
     assert match_up_to_unit(t, 43) == (1, 0)
-    z2 = CycloElement.zeta_power(mod, 2)
+    z2 = _zeta(mod, 2)
     assert match_up_to_unit(-(t * z2), 43) == (-1, 2)
     assert match_up_to_unit(CycloElement.integer(mod, 44), 43) is None
 

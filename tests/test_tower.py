@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from towerbound.tower import (
@@ -15,6 +21,8 @@ from towerbound.tower import (
     ramified_place_target,
     validate_group,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 ABELIAN_1 = GroupSpec(p=3, dimension=1, action_order=2)
 ABELIAN_3 = GroupSpec(p=3, dimension=3, action_order=2)
@@ -120,6 +128,40 @@ def test_build_plan_rejects_even_kummer_prime():
     with pytest.raises(ValidationFailed):
         build_tower_plan(2, GroupSpec(p=5, dimension=1, action_order=2),
                          CyclotomicBase(3), 2)
+
+
+def test_build_plan_non_prime_p_fails_validation_without_running_dependents():
+    # p = 1 used to loop forever in the single-place check, p = 0 divided by
+    # zero and p = -3 leaked a mult_order message; a subprocess with a
+    # timeout keeps a regression from hanging the suite.
+    script = """
+import json
+from towerbound.tower import CyclotomicBase, GroupSpec, ValidationFailed, build_tower_plan
+out = []
+for p in (1, 0, -3, 4, 9, 10**50 + 1):
+    for c in (3, 9):
+        try:
+            build_tower_plan(5, GroupSpec(p=p, dimension=1, action_order=2), CyclotomicBase(c), 2)
+        except ValidationFailed as err:
+            out.append([[i.name for i in err.report.items], [i.name for i in err.report.failures]])
+print(json.dumps(out))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=20, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    reports = json.loads(proc.stdout)
+    assert len(reports) == 12
+    for names, failures in reports:
+        assert names == [
+            "ell-odd", "p-prime", "dimension-positive", "action-order-at-least-2",
+            "abelian-has-no-twist-exponent", "order-2-action-forces-abelian",
+            "rank-target-positive", "base-is-imaginary", "base-galois-group-cyclic",
+            "base-action-order-2", "base-degree-matches-dimension",
+            "unique-prime-above-p",
+        ]
+        assert failures[0] == "p-prime" and failures[-1] == "unique-prime-above-p"
 
 
 def test_build_plan_base_compatibility():
