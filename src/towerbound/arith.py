@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 import random
+from functools import lru_cache
+from itertools import compress
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -168,14 +170,20 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=256)
+def _unit_group(m: int) -> tuple[int, tuple[int, ...]]:
+    """(phi(m), the primes dividing phi(m)): what every order test mod m needs."""
+    phi = 1
+    for p, e in factorize(m).items():
+        phi *= (p - 1) * p ** (e - 1)
+    return phi, tuple(factorize(phi))
+
+
 def euler_phi(m: int) -> int:
     """Euler's totient of m >= 1."""
     if m < 1:
         raise ValueError("euler_phi expects m >= 1")
-    phi = 1
-    for p, e in factorize(m).items():
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
+    return _unit_group(m)[0]
 
 
 def mult_order(a: int, m: int) -> int:
@@ -191,21 +199,68 @@ def mult_order(a: int, m: int) -> int:
     a %= m
     if math.gcd(a, m) != 1:
         raise NotCoprime(f"{a} is not invertible modulo {m}")
-    order = euler_phi(m)
-    for p in factorize(order):
+    order, prime_divisors = _unit_group(m)
+    for p in prime_divisors:
         while order % p == 0 and pow(a, order // p, m) == 1:
             order //= p
     return order
 
 
+# The sieve covers the odd numbers below the default search ceiling, in
+# segments of at most _SEGMENT_BYTES (one byte per odd number); the first
+# segment of a stream is small and each next one doubles, so a short search
+# sieves little.  Primes above the sieve come from Miller-Rabin.
+_SIEVE_LIMIT = DEFAULT_SEARCH_CEILING
+_SEGMENT_BYTES = 1 << 16
+_FIRST_SEGMENT_BYTES = 1 << 10
+
+
+@lru_cache(maxsize=1)
+def _base_primes() -> tuple[int, ...]:
+    """The odd primes up to sqrt(_SIEVE_LIMIT), built on first use."""
+    top = math.isqrt(_SIEVE_LIMIT - 1)
+    flags = bytearray([1]) * (top + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(top) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, top + 1, p)))
+    return tuple(compress(range(3, top + 1), flags[3:]))
+
+
+def _sieved_primes(lo: int) -> Iterator[int]:
+    """Odd primes from the odd number lo >= 3 up to _SIEVE_LIMIT, ascending."""
+    size = _FIRST_SEGMENT_BYTES
+    while lo < _SIEVE_LIMIT:
+        hi = min(lo + 2 * size, _SIEVE_LIMIT)  # segment: odd n in [lo, hi)
+        seg = bytearray([1]) * ((hi - lo + 1) // 2)
+        for p in _base_primes():
+            if p * p >= hi:
+                break
+            first = max(p * p, -(-lo // p) * p)
+            if first % 2 == 0:
+                first += p
+            start = (first - lo) // 2
+            seg[start::p] = bytes(len(range(start, len(seg), p)))
+        yield from compress(range(lo, hi, 2), seg)
+        lo = hi
+        size = min(2 * size, _SEGMENT_BYTES)
+
+
 def primes(start: int = 2) -> Iterator[int]:
-    """Yield primes >= start in ascending order, indefinitely."""
+    """Yield primes >= start in ascending order, indefinitely.
+
+    Below ``DEFAULT_SEARCH_CEILING`` they come from a segmented sieve of
+    Eratosthenes over the odd numbers; above it, from Miller-Rabin.
+    """
     n = max(2, start)
     if n == 2:
         yield 2
         n = 3
     if n % 2 == 0:
         n += 1
+    if n < _SIEVE_LIMIT:
+        yield from _sieved_primes(n)
+        n = _SIEVE_LIMIT | 1
     while True:
         if is_prime(n):
             yield n

@@ -10,8 +10,8 @@ stderr: ValidationFailed (then its failed items), SearchExhausted and
 EqualPrimes exit 1; ValueError (parse errors included) and OSError (say, an
 unwritable --out) exit 2.  The parser exits 2 on out-of-range numbers:
 --n-max must lie in [0, 1000], a cap on the certificate's rows; conductors
-must be >= 1 and --count >= 0.  No argv ends in a traceback, which
-tests/test_cli_fuzz.py checks on seeded random argv.
+must lie in [1, MAX_CONDUCTOR], and --count must be >= 0.  No argv ends in a
+traceback, which tests/test_cli_fuzz.py checks on seeded random argv.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from . import arith, catalog, cyclotomic
 from .bounds import AbelianVarietyDesc, build_certificate
-from .fixtures import build_plan, fixture_ids, get_fixture
+from .fixtures import build_plan, bundled_cubic_base, fixture_ids, get_fixture
 from .report import stable_json, wrap_document
 from .reproduce import run_reproduction
 from .tower import (
@@ -36,7 +36,13 @@ from .tower import (
     build_tower_plan,
 )
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "MAX_CONDUCTOR"]
+
+#: The largest conductor any subcommand accepts.  It bounds the work that
+#: grows with the conductor: trial-division factoring of m, m-entry lists,
+#: and verify-factorization, whose norm of a dense factor such as
+#: zeta^(m-1) + 1 costs about m^3 (3 to 4 s at m = 499 on a 2-core host).
+MAX_CONDUCTOR = 500
 
 _BUNDLED_AV = {
     "11a1": ("11a1", 1, True, (11,)),
@@ -132,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
             "cubic base shipped with example3, checklist included"
         ),
     )
-    con.add_argument("--conductor", type=_int_in(1), default=None)
+    con.add_argument("--conductor", type=_int_in(1, MAX_CONDUCTOR), default=None)
     con.add_argument(
         "--gap-rank",
         type=int,
@@ -152,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="multiply cyclotomic-integer factors and compare with a target",
     )
-    ver.add_argument("--conductor", type=_int_in(1), required=True)
+    ver.add_argument("--conductor", type=_int_in(1, MAX_CONDUCTOR), required=True)
     ver.add_argument("--target", type=int, required=True)
     ver.add_argument(
         "--factor",
@@ -169,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="splitting data (e, f, g) of a rational prime in Q(zeta_m)",
     )
     spl.add_argument("prime", type=int)
-    spl.add_argument("conductor", type=_int_in(1))
+    spl.add_argument("conductor", type=_int_in(1, MAX_CONDUCTOR))
     spl.set_defaults(func=cmd_split)
 
     ine = sub.add_parser(
@@ -177,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="first k rational primes inert in Q(zeta_m)",
     )
-    ine.add_argument("conductor", type=_int_in(1))
+    ine.add_argument("conductor", type=_int_in(1, MAX_CONDUCTOR))
     ine.add_argument("--count", type=_int_in(0), required=True)
     ine.add_argument(
         "--exclude",
@@ -252,13 +258,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
         base = CyclotomicBase(conductor=args.conductor)
         checklist = None
     else:
-        ex3 = get_fixture("example3")
-        base = ex3.base
-        from .fixtures import _example3_checklist  # bundled base, bundled facts
-
-        if args.p != ex3.group.p:
-            raise ValueError(f"the bundled cubic base assumes p = {ex3.group.p}")
-        checklist = _example3_checklist(base, args.p)
+        p = get_fixture("example3").group.p
+        if args.p != p:
+            raise ValueError(f"the bundled cubic base assumes p = {p}")
+        base, checklist = bundled_cubic_base()
 
     av = None
     if args.av is not None:

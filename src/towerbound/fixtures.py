@@ -26,7 +26,13 @@ from .tower import (
     ramified_place_target,
 )
 
-__all__ = ["Fixture", "fixture_ids", "get_fixture", "build_plan"]
+__all__ = [
+    "Fixture",
+    "fixture_ids",
+    "get_fixture",
+    "build_plan",
+    "bundled_cubic_base",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +196,16 @@ def get_fixture(fixture_id: str) -> Fixture:
         ) from None
 
 
-def _example3_checklist(base: RelativeCubicBase, p: int) -> AssumptionChecklist:
-    """Discharge the base-field hypotheses for the bundled relative cubic.
+def bundled_cubic_base() -> tuple[RelativeCubicBase, AssumptionChecklist]:
+    """The relative cubic base of example3 with its hypothesis checklist.
 
-    Three of the four items are computed on the spot; the class-group item
-    rests on the standard tables and says so in its provenance.
+    The checklist is discharged for example3's tower prime p.  Three of its
+    four items are computed on the spot; the class-group item rests on the
+    standard tables and says so in its provenance.
     """
+    fx = get_fixture("example3")
+    base, p = fx.base, fx.group.p
+    assert isinstance(base, RelativeCubicBase)
     poly = list(base.poly)
     disc = zpoly.discriminant(poly)
     residue = gf.PrimeField(p)
@@ -203,7 +213,7 @@ def _example3_checklist(base: RelativeCubicBase, p: int) -> AssumptionChecklist:
     conductor_is_p_power = _is_power_of(base.base_conductor, p)
     class_group = FiniteAbelianGroup((13,))
     p_part_trivial = ell_rank(class_group, p) == 0
-    return AssumptionChecklist(
+    return base, AssumptionChecklist(
         base_description=base.describe(),
         totally_imaginary=ChecklistItem(
             name="totally-imaginary",
@@ -306,13 +316,11 @@ def build_plan(fixture_id: str) -> TowerPlan:
             extra_diagnostics=diags,
         )
     if fixture_id == "example3":
-        base = fx.base
-        assert isinstance(base, RelativeCubicBase)
-        checklist = _example3_checklist(base, fx.group.p)
+        base, checklist = bundled_cubic_base()
         return build_tower_plan(
             fx.ell,
             fx.group,
-            fx.base,
+            base,
             fx.rank_target,
             checklist=checklist,
             gap_rank=fx.declared_gap_rank,

@@ -13,6 +13,7 @@ factorization yields the degree profile of a squarefree polynomial.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -479,7 +480,9 @@ def is_inert_in_relative_extension(
     (:class:`RamifiedPrime`) nor the discriminant of ``def_poly``
     (:class:`DiscriminantDivisible`), which rules out ramification upstairs.
     Under those guards, a prime of residue degree f stays inert exactly when
-    the polynomial is irreducible over the residue field F_{q^f}.
+    the polynomial is irreducible over the residue field F_{q^f}.  That holds
+    iff it is irreducible over F_q and gcd(deg, f) = 1 (Lidl & Niederreiter,
+    Finite Fields, Thm 3.46), so no extension field is ever built.
 
     Because the coefficients are rational integers, every residue field above
     q sees the same image of the polynomial, so the per-prime answers
@@ -496,7 +499,7 @@ def is_inert_in_relative_extension(
         raise DiscriminantDivisible(
             f"{q} divides the discriminant {disc} of the defining polynomial"
         )
-    K = build_extension_field(q, sd.f)
-    image = [K.from_int(c) for c in poly]
-    verdict = is_irreducible(K, image)
+    verdict = math.gcd(zpoly.degree(poly), sd.f) == 1 and is_irreducible(
+        PrimeField(q), [c % q for c in poly]
+    )
     return [verdict] * sd.g

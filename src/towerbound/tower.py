@@ -360,11 +360,15 @@ class CyclotomicBase:
         return cyclotomic.is_inert(p, c)
 
     def prime_qualifies(self, q: int) -> bool:
-        """Inert rational primes are the ones the selection wants here."""
-        try:
-            return cyclotomic.is_inert(q, self.conductor)
-        except cyclotomic.RamifiedPrime:
-            return False
+        """Whether the prime ``q`` is inert in Q(zeta_c), as the selection wants.
+
+        ``q`` must already be prime.  It is inert iff it does not divide c and
+        generates (Z/c)*; over c <= 2 (the rationals) every prime counts.
+        """
+        c = self.conductor
+        if c <= 2:
+            return True
+        return c % q != 0 and arith.mult_order(q, c) == arith.euler_phi(c)
 
 
 @dataclass(frozen=True)
@@ -440,18 +444,17 @@ class RelativeCubicBase:
         return True
 
     def prime_qualifies(self, q: int) -> bool:
-        """Totally split downstairs, then inert in the cubic step."""
-        try:
-            sd = cyclotomic.splitting_data(q, self.base_conductor)
-        except (cyclotomic.RamifiedPrime, ValueError):
+        """Whether the prime ``q`` splits totally downstairs, then stays inert.
+
+        ``q`` must already be prime.  It splits totally in Q(zeta_c) iff
+        q = 1 (mod c), or always over c <= 2.
+        """
+        c = self.base_conductor
+        if c > 2 and q % c != 1:
             return False
-        if sd.f != 1:
-            return False
         try:
-            verdicts = gf.is_inert_in_relative_extension(
-                list(self.poly), q, self.base_conductor
-            )
-        except (gf.DiscriminantDivisible, cyclotomic.RamifiedPrime):
+            verdicts = gf.is_inert_in_relative_extension(list(self.poly), q, c)
+        except gf.DiscriminantDivisible:
             return False
         return all(verdicts)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -95,6 +96,57 @@ def test_primes_ascending_predicate_and_exclude():
 def test_primes_ascending_exhaustion():
     with pytest.raises(arith.SearchExhausted):
         arith.primes_ascending(1, predicate=lambda q: False, ceiling=10_000)
+
+
+def _odd_trial_division_primes(lo, hi):
+    """Primes in [lo, hi) by trial division with 2 and the odd numbers."""
+    out = []
+    for n in range(max(lo, 2), hi):
+        if n == 2 or (n % 2 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))):
+            out.append(n)
+    return out
+
+
+def _stream(start, hi):
+    return list(itertools.takewhile(lambda q: q < hi, arith.primes(start)))
+
+
+def test_primes_match_trial_division_across_segments():
+    # Starting at 3, the sieve's segments end at 2051, 6147, 14339, 30723,
+    # 63491 and 129027 and then advance by 131072; 300000 covers them all.
+    oracle = _odd_trial_division_primes(0, 300_000)
+    assert _stream(0, 300_000) == oracle
+    edges = (2051, 6147, 14339, 30723, 63491, 129027, 260099)
+    starts = [0, 1, 2, 3, 4, 5, 9, 10]
+    starts += [e + d for e in edges for d in (-2, -1, 0, 1, 2)]
+    starts += [2 * 1024, 2 * 1024 + 1, 131072, 131073]
+    for start in starts:
+        want = [q for q in oracle if start <= q < start + 20_000]
+        assert _stream(start, start + 20_000) == want, start
+
+
+def test_primes_across_the_sieve_limit():
+    # The sieve stops below the default ceiling, 10^7; Miller-Rabin goes on.
+    limit = arith.DEFAULT_SEARCH_CEILING
+    assert limit == 10_000_000
+    oracle = _odd_trial_division_primes(limit - 2000, limit + 2000)
+    for start in (limit - 2000, limit - 9, limit - 10, limit, limit + 1, limit + 19):
+        want = [q for q in oracle if q >= start]
+        assert _stream(start, limit + 2000) == want, start
+    assert list(itertools.islice(arith.primes(9_999_990), 3)) == [
+        9_999_991, 10_000_019, 10_000_079,
+    ]
+
+
+@pytest.mark.parametrize("q", [5, 9_999_991, 10_000_019])
+def test_primes_ascending_exhaustion_at_the_ceiling(q):
+    # With the ceiling just below a prime the search gives up before it; at
+    # the prime itself the prime is found.  Both sides of the sieve limit.
+    wanted = lambda n: n >= q  # noqa: E731
+    with pytest.raises(arith.SearchExhausted):
+        arith.primes_ascending(1, predicate=wanted, ceiling=q - 1)
+    assert arith.primes_ascending(1, predicate=wanted, ceiling=q) == [q]
+    assert arith.primes_ascending(1, predicate=wanted, ceiling=q + 1) == [q]
 
 
 def test_parse_and_format_decimal():

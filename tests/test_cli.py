@@ -218,6 +218,23 @@ def test_verify_factorization_conductor_421_is_fast(run_cli):
     assert elapsed < 5.0, elapsed
 
 
+def test_inert_primes_long_scan_is_fast(run_cli):
+    # 100000 primes inert in Q(zeta_9), about 300000 candidates up to 4.25
+    # million: 0.4 s through the sieve, 18 s when every candidate cost
+    # several Miller-Rabin proofs.
+    start = time.perf_counter()
+    code, out, err = run_cli("inert-primes", "9", "--count", "100000")
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    found = [int(q) for q in out.split(": ", 1)[1].split(", ")]
+    assert len(found) == 100_000
+    assert found[:6] == [2, 5, 11, 23, 29, 41]
+    assert found[-1] == 4253153
+    assert found == sorted(set(found))
+    assert {q % 9 for q in found} == {2, 5}  # the generators of (Z/9)*
+    assert elapsed < 2.0, elapsed
+
+
 def test_construct_alpha_beyond_int_str_limit(run_cli):
     # 1540 primes inert in Q(zeta_3) multiply to an alpha of about 6500 digits.
     args = ["construct", "--ell", "5", "--p", "3", "--conductor", "3",

@@ -17,7 +17,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-VALUES = ["-3", "-1", "0", "1", "2", "4", "7", "9", str(10**50), "x", ""]
+# 10**18 + 3 is a prime conductor that trial division cannot factor in time.
+VALUES = ["-3", "-1", "0", "1", "2", "4", "7", "9", str(10**18 + 3), str(10**50),
+          "x", ""]
 RANKS = ["-1", "0", "1", "2", "5"]
 FACTORS = ["1", "zeta+1", "2*zeta^3 - 1", "zeta5+1", "x", "", "7" * 4401]
 EXAMPLES = ["example1", "example2", "example3", "all", "example9"]
@@ -148,7 +150,7 @@ def test_conductor_zero_is_malformed(run_cli):
     ):
         code, out, err = run_cli(*argv)
         assert (code, out) == (2, ""), argv
-        assert "conductor: must be >= 1, got 0\n" in err, argv
+        assert "conductor: must be in [1, 500], got 0\n" in err, argv
         assert "euler_phi" not in err
 
 
@@ -218,4 +220,60 @@ def test_huge_conductor_for_verify_factorization_is_malformed(run_cli):
         "--factor", "1",
     )
     assert (code, out) == (2, "")
-    assert err.startswith("verify-factorization: conductor must be in [1, ")
+    assert f"--conductor: must be in [1, 500], got {10**50}\n" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("split", "5", str(10**18 + 3)),
+    ("inert-primes", str(10**18 + 3), "--count", "1"),
+    ("construct", "--ell", "5", "--p", "3", "--conductor", str(10**18 + 3),
+     "--rank-target", "2"),
+    ("verify-factorization", "--conductor", str(10**18 + 3), "--target", "1",
+     "--factor", "1"),
+])
+def test_huge_prime_conductor_is_malformed_at_once(argv):
+    # Factoring such a conductor by trial division used to run for hours; a
+    # subprocess with a timeout keeps a regression from hanging the suite.
+    proc = subprocess.run(
+        [sys.executable, "-m", "towerbound", *argv],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert f"conductor: must be in [1, 500], got {10**18 + 3}\n" in proc.stderr
+
+
+def test_conductor_cap_is_500_on_every_subcommand(run_cli):
+    from towerbound.cli import MAX_CONDUCTOR
+
+    assert MAX_CONDUCTOR == 500
+    cases = (
+        # (argv, exit code at conductor 500): (Z/500)* is not cyclic, so the
+        # construction fails validation; the others succeed
+        (("construct", "--ell", "5", "--p", "3", "--rank-target", "2",
+          "--conductor"), 1),
+        (("verify-factorization", "--target", "1", "--factor", "1",
+          "--conductor"), 0),
+        (("split", "7"), 0),
+        (("inert-primes", "--count", "0"), 0),
+    )
+    for argv, code in cases:
+        got, _, err = run_cli(*argv, "500")
+        assert got == code and "must be in" not in err, (argv, err)
+        got, out, err = run_cli(*argv, "501")
+        assert (got, out) == (2, ""), argv
+        assert "conductor: must be in [1, 500], got 501\n" in err, argv
+
+
+def test_dense_factor_at_the_conductor_cap_fits_the_budget(run_cli):
+    # The costliest input per conductor: zeta^(m-1) + 1 reduces to a dense
+    # element, whose norm costs about m^3 (286 s at m = 2003).  At the
+    # largest prime below the cap it must stay inside the fuzz's budget.
+    with _deadline(10):
+        code, out, err = run_cli(
+            "verify-factorization", "--conductor", "499", "--target", "1",
+            "--factor", "zeta499^498 + 1",
+        )
+    assert code == 1, err  # 1 + zeta^-1 is a unit but not a root of unity
+    assert "factors: 1 (norms: 1)\n" in out
+    assert "status: mismatch\n" in out

@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from towerbound import cyclotomic
+from towerbound import cyclotomic, gf, zpoly
+from towerbound.tower import RelativeCubicBase
 from towerbound.gf import (
     DiscriminantDivisible,
     ExtensionField,
@@ -160,3 +162,78 @@ def test_relative_inertness_higher_residue_degree():
         if val == F8.zero:
             roots += 1
     assert (roots == 0) == verdicts[0]
+
+
+def _inert_over_residue_field(def_poly, q, m):
+    """Oracle: test the polynomial over the residue field F_{q^f} itself."""
+    sd = cyclotomic.splitting_data(q, m)
+    if zpoly.discriminant(list(def_poly)) % q == 0:
+        raise DiscriminantDivisible(q)
+    K = build_extension_field(q, sd.f)
+    return [gf.is_irreducible(K, [K.from_int(c) for c in def_poly])] * sd.g
+
+
+def test_inertness_law_matches_residue_field_route():
+    # Lidl-Niederreiter: irreducible over F_{q^f} iff irreducible over F_q
+    # and gcd(deg, f) = 1.  Degrees 2 to 5 give every f in {1, 2, 3, 6} a
+    # degree prime to f and, for f > 1, a degree sharing a factor with f.
+    rng = random.Random(3146)
+    polys = [(-1, -4, -1, 1)]
+    for degree in (2, 3, 3, 4, 5, 5):
+        for _ in range(3):
+            polys.append(tuple(rng.randint(-9, 9) for _ in range(degree)) + (1,))
+    for m in (7, 9):
+        by_f = {}
+        for q in range(2, 200):
+            if m % q and all(q % d for d in range(2, math.isqrt(q) + 1)):
+                by_f.setdefault(cyclotomic.splitting_data(q, m).f, []).append(q)
+        assert sorted(by_f) == [1, 2, 3, 6]
+        for f, qs in sorted(by_f.items()):
+            seen = set()
+            for q, poly in itertools.product(qs[:3], polys):
+                try:
+                    want = _inert_over_residue_field(poly, q, m)
+                except DiscriminantDivisible:
+                    with pytest.raises(DiscriminantDivisible):
+                        is_inert_in_relative_extension(list(poly), q, m)
+                    continue
+                assert is_inert_in_relative_extension(list(poly), q, m) == want, (
+                    m, f, q, poly,
+                )
+                seen.add(want[0])
+            assert seen == {True, False}, (m, f)
+
+
+def test_relative_prime_qualifies_matches_residue_field_route(monkeypatch):
+    # Naive oracle: residue degree from splitting_data, then the F_{q^f}
+    # route.  Both routes end in the same Rabin test over F_q, which C10
+    # checks on its own; memoizing it keeps this sweep affordable.
+    memo = {}
+    rabin = gf.is_irreducible
+
+    def memo_is_irreducible(K, poly):
+        key = (K, tuple(poly))
+        if key not in memo:
+            memo[key] = rabin(K, poly)
+        return memo[key]
+
+    monkeypatch.setattr(gf, "is_irreducible", memo_is_irreducible)
+
+    def oracle(base, q):
+        try:
+            if cyclotomic.splitting_data(q, base.base_conductor).f != 1:
+                return False
+            return all(_inert_over_residue_field(base.poly, q, base.base_conductor))
+        except (cyclotomic.RamifiedPrime, DiscriminantDivisible):
+            return False
+
+    primes = [q for q in range(2, 20_000)
+              if all(q % d for d in range(2, math.isqrt(q) + 1))]
+    accepted = 0
+    for m in range(1, 61):
+        base = RelativeCubicBase(base_conductor=m, poly=(-1, -4, -1, 1))
+        for q in primes:
+            got = base.prime_qualifies(q)
+            assert got == oracle(base, q), (m, q)
+            accepted += got
+    assert accepted > 0

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from towerbound import cyclotomic
 from towerbound.tower import (
     AssumptionChecklist,
     ChecklistItem,
@@ -230,3 +232,18 @@ def test_field_diagram_edges():
     assert degrees[("K_zeta", "L")] == 5
     ids = {n["id"] for n in diagram["nodes"]}
     assert {"K0", "K", "K_zeta", "L", "K_tower", "K_tower_zeta", "L_tower"} <= ids
+
+
+def test_cyclotomic_prime_qualifies_matches_splitting_data():
+    # Naive oracle: the route through splitting_data, which proves q prime
+    # again and raises for q | m; over m <= 2 it calls every prime inert.
+    primes = [q for q in range(2, 20_000)
+              if all(q % d for d in range(2, math.isqrt(q) + 1))]
+    for m in range(1, 61):
+        base = CyclotomicBase(m)
+        for q in primes:
+            try:
+                want = cyclotomic.is_inert(q, m)
+            except cyclotomic.RamifiedPrime:
+                want = False
+            assert base.prime_qualifies(q) == want, (m, q)
