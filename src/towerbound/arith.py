@@ -16,7 +16,6 @@ __all__ = [
     "NotCoprime",
     "SearchExhausted",
     "DEFAULT_SEARCH_CEILING",
-    "parse_decimal",
     "format_decimal",
     "mul_many",
     "is_prime",
@@ -49,19 +48,6 @@ _SMALL_PRIMES = (
 _WITNESSES_BELOW_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _WIDE_WITNESS_COUNT = 40
-
-
-def parse_decimal(text: str) -> int:
-    """Parse a (possibly signed) decimal integer, rejecting anything else."""
-    t = text.strip().replace("_", "")
-    sign = 1
-    if t[:1] in "+-":
-        if t[0] == "-":
-            sign = -1
-        t = t[1:]
-    if not t.isdigit():
-        raise ValueError(f"not a decimal integer: {text!r}")
-    return sign * int(t)
 
 
 # ``str`` refuses ints longer than sys.get_int_max_str_digits() digits (4300
@@ -283,17 +269,15 @@ def primes_ascending(
         raise ValueError("count must be >= 0")
     skip = frozenset(exclude)
     found: list[int] = []
-    for q in primes():
+    stream = primes()
+    while len(found) < count:  # the quota is tested before the ceiling
+        q = next(stream)
         if q > ceiling:
             raise SearchExhausted(
                 f"found only {len(found)} of {count} primes below {ceiling}"
             )
-        if len(found) == count:
-            break
         if q in skip:
             continue
         if predicate is None or predicate(q):
             found.append(q)
-        if len(found) == count:
-            break
     return found

@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import catalog
-from .arith import format_decimal
+from . import catalog, report
 from .catalog import Diagnostic
-from .report import json_safe_int
 from .tower import TowerPlan
 
 __all__ = [
@@ -95,15 +93,6 @@ class AbelianVarietyDesc:
     torsion_at_kummer_prime: bool  # rational torsion point of order ell exists
     bad_primes: tuple[int, ...]
     provenance: str = "external-database"
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "dimension": self.dimension,
-            "torsion_at_kummer_prime": self.torsion_at_kummer_prime,
-            "bad_primes": list(self.bad_primes),
-            "provenance": self.provenance,
-        }
 
 
 def ambiguous_lower(ramified_count: int, layer_degree: int) -> int:
@@ -193,21 +182,6 @@ class CertificateRow:
     fine_claimed: int | None = None
     fine_conservative: int | None = None
 
-    def to_json(self) -> dict:
-        out: dict = {
-            "layer": self.layer,
-            "ramified_places": json_safe_int(self.ramified_places),
-            "layer_degree": json_safe_int(self.layer_degree),
-            "ambiguous_bound": json_safe_int(self.ambiguous_bound),
-            "class_rank_bound": json_safe_int(self.class_rank_bound),
-        }
-        if self.fine_claimed is not None:
-            out["fine_selmer_claimed"] = json_safe_int(self.fine_claimed)
-            out["fine_selmer_conservative"] = json_safe_int(
-                self.fine_conservative or 0
-            )
-        return out
-
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -215,9 +189,6 @@ class TraceStep:
 
     rule: str
     statement: str
-
-    def to_json(self) -> dict:
-        return {"rule": self.rule, "statement": self.statement}
 
 
 @dataclass(frozen=True)
@@ -232,44 +203,10 @@ class BoundCertificate:
     trace: tuple[TraceStep, ...]
     diagnostics: tuple[Diagnostic, ...]
 
-    def to_json_doc(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "gap_rank": self.gap_rank,
-            "abelian_variety": self.av.to_json() if self.av else None,
-            "rows": [r.to_json() for r in self.rows],
-            "trace": [t.to_json() for t in self.trace],
-            "diagnostics": [d.to_json() for d in self.diagnostics],
-        }
-
-    def to_text_lines(self) -> list[str]:
-        fine = self.av is not None
-        headers = ["layer", "ramified", "degree", "ambiguous", "class-rank"]
-        if fine:
-            headers += ["fine-claimed", "fine-conservative"]
-        table = [headers]
-        for r in self.rows:
-            cells = [r.layer, r.ramified_places, r.layer_degree, r.ambiguous_bound,
-                     r.class_rank_bound]
-            if fine:
-                cells += [r.fine_claimed, r.fine_conservative]
-            table.append([format_decimal(c) for c in cells])
-        widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
-        lines = []
-        for idx, row in enumerate(table):
-            lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-            if idx == 0:
-                lines.append("  ".join("-" * w for w in widths))
-        lines.append("")
-        lines.append("inequality trace:")
-        for t in self.trace:
-            lines.append(f"  [{t.rule}] {t.statement}")
-        if self.diagnostics:
-            lines.append("")
-            lines.append("caveats:")
-            for d in self.diagnostics:
-                lines.append(f"  {d.render()}")
-        return lines
+    # Rendering lives in report; the two names stay for callers that know
+    # them, bench/tracing.py's bounds.render span among them.
+    to_json_doc = report.certificate_doc
+    to_text_lines = report.certificate_lines
 
 
 def build_certificate(

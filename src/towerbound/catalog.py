@@ -21,16 +21,6 @@ class Diagnostic:
     severity: str  # "warning" or "note"
     message: str
 
-    def render(self) -> str:
-        return f"[{self.severity}:{self.code}] {self.message}"
-
-    def to_json(self) -> dict:
-        return {
-            "code": self.code,
-            "severity": self.severity,
-            "message": self.message,
-        }
-
 
 #: code -> (severity, short description of the class of finding)
 KNOWN_CODES: dict[str, tuple[str, str]] = {

@@ -10,8 +10,10 @@ stderr: ValidationFailed (then its failed items), SearchExhausted and
 EqualPrimes exit 1; ValueError (parse errors included) and OSError (say, an
 unwritable --out) exit 2.  The parser exits 2 on out-of-range numbers:
 --n-max must lie in [0, 1000], a cap on the certificate's rows; conductors
-must lie in [1, MAX_CONDUCTOR], and --count must be >= 0.  No argv ends in a
-traceback, which tests/test_cli_fuzz.py checks on seeded random argv.
+must lie in [1, MAX_CONDUCTOR]; --count must be >= 0; and inert-primes
+--ceiling must lie in [0, arith.DEFAULT_SEARCH_CEILING] (10^7), which bounds
+the scan.  No argv ends in a traceback, which tests/test_cli_fuzz.py checks
+on seeded random argv.
 """
 
 from __future__ import annotations
@@ -21,10 +23,15 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from . import arith, catalog, cyclotomic
-from .bounds import AbelianVarietyDesc, build_certificate
-from .fixtures import build_plan, bundled_cubic_base, fixture_ids, get_fixture
-from .report import stable_json, wrap_document
+from . import arith, catalog, cyclotomic, report
+from .bounds import build_certificate
+from .fixtures import (
+    BUNDLED_AV,
+    build_plan,
+    bundled_cubic_base,
+    fixture_ids,
+    get_fixture,
+)
 from .reproduce import run_reproduction
 from .tower import (
     CyclotomicBase,
@@ -43,11 +50,6 @@ __all__ = ["main", "build_parser", "MAX_CONDUCTOR"]
 #: and verify-factorization, whose norm of a dense factor such as
 #: zeta^(m-1) + 1 costs about m^3 (3 to 4 s at m = 499 on a 2-core host).
 MAX_CONDUCTOR = 500
-
-_BUNDLED_AV = {
-    "11a1": ("11a1", 1, True, (11,)),
-    "19a1": ("19a1", 1, True, (19,)),
-}
 
 #: The exit code of each exception a command may raise, tried in order
 #: (EqualPrimes is a ValueError, so it must precede that entry).
@@ -147,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     con.add_argument(
         "--av",
-        choices=sorted(_BUNDLED_AV),
+        choices=sorted(BUNDLED_AV),
         default=None,
         help="add fine-Selmer columns for this bundled abelian variety",
     )
@@ -194,7 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip this prime even if it qualifies; repeatable",
     )
     ine.add_argument(
-        "--ceiling", type=int, default=arith.DEFAULT_SEARCH_CEILING
+        "--ceiling",
+        type=_int_in(0, arith.DEFAULT_SEARCH_CEILING),
+        default=arith.DEFAULT_SEARCH_CEILING,
+        help="search no prime above this (default and largest: %(default)s)",
     )
     ine.set_defaults(func=cmd_inert_primes)
 
@@ -209,42 +214,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _deliver(args: argparse.Namespace, text: str) -> None:
-    if args.out is not None:
-        args.out.write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, document kind, data to render)
 # ---------------------------------------------------------------------------
 
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
+def cmd_reproduce(args: argparse.Namespace) -> tuple[int, str, dict]:
     ids = list(fixture_ids()) if args.example == "all" else [args.example]
     results = [run_reproduction(fid, n_max=args.n_max) for fid in ids]
-    if args.json:
-        if len(results) == 1:
-            doc = results[0].to_json_doc()
-        else:
-            doc = wrap_document(
-                "reproduction-batch",
-                {"runs": [r.to_json_doc() for r in results]},
-            )
-        _deliver(args, stable_json(doc))
-    else:
-        blocks = []
-        for r in results:
-            blocks.append("\n".join(r.to_text_lines()))
-        _deliver(args, "\n\n".join(blocks) + "\n")
-    return max(r.exit_code for r in results)
+    kind = "reproduction" if len(results) == 1 else "reproduction-batch"
+    return max(r.exit_code for r in results), kind, {"results": results}
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
+def cmd_construct(args: argparse.Namespace) -> tuple[int, str, dict]:
     group = GroupSpec(
         p=args.p,
         dimension=args.dimension,
@@ -265,13 +247,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
     av = None
     if args.av is not None:
-        label, dim, tors, bad = _BUNDLED_AV[args.av]
-        av = AbelianVarietyDesc(
-            label=label,
-            dimension=dim,
-            torsion_at_kummer_prime=tors,
-            bad_primes=bad,
-        )
+        av = BUNDLED_AV[args.av]
         if args.gap_rank is None:
             args.gap_rank = 0
 
@@ -284,31 +260,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
         gap_rank=args.gap_rank,
     )
     cert = build_certificate(plan, av=av, n_max=args.n_max)
-    if args.json:
-        doc = wrap_document(
-            "construction",
-            {"plan": plan.to_json_doc(), "certificate": cert.to_json_doc()},
-        )
-        _deliver(args, stable_json(doc))
-    else:
-        alpha = arith.format_decimal(plan.alpha)
-        lines = [
-            "construction",
-            f"  group: {plan.group.describe()}",
-            f"  base: {plan.base.describe()}",
-            f"  ramified-place target: {plan.ramified_target}"
-            f" (formula value {plan.ramified_target_formula})",
-            f"  selected primes ({len(plan.selected_primes)}): "
-            + ", ".join(map(str, plan.selected_primes)),
-            f"  alpha ({len(alpha)} digits): {alpha}",
-            "",
-        ]
-        lines.extend(cert.to_text_lines())
-        _deliver(args, "\n".join(lines) + "\n")
-    return 0
+    return 0, "construction", {"plan": plan, "cert": cert}
 
 
-def cmd_verify_factorization(args: argparse.Namespace) -> int:
+def cmd_verify_factorization(args: argparse.Namespace) -> tuple[int, str, dict]:
     mod = cyclotomic.cyclotomic_polynomial(args.conductor)
     factors = [cyclotomic.parse_cyclo_element(s, args.conductor) for s in args.factor]
     product = cyclotomic.cyclo_mul(mod, factors)
@@ -336,68 +291,27 @@ def cmd_verify_factorization(args: argparse.Namespace) -> int:
                 f"{args.target} itself",
             )
         )
-    if args.json:
-        doc = wrap_document(
-            "factor-check",
-            {
-                "conductor": args.conductor,
-                "target": args.target,
-                "factors": [f.render(False) for f in factors],
-                "factor_norms": [arith.format_decimal(n) for n in norms],
-                "product": product.render(False),
-                "status": status,
-                "diagnostics": [d.to_json() for d in diags],
-            },
-        )
-        _deliver(args, stable_json(doc))
-    else:
-        lines = [
-            f"conductor: {args.conductor}",
-            f"target: {args.target}",
-            f"factors: {len(factors)} "
-            f"(norms: {', '.join(map(arith.format_decimal, norms))})",
-            f"product: {product.render()}",
-            f"status: {status}",
-        ]
-        lines.extend(d.render() for d in diags)
-        _deliver(args, "\n".join(lines) + "\n")
-    return code
+    return code, "factor-check", {
+        "conductor": args.conductor,
+        "target": args.target,
+        "factors": factors,
+        "factor_norms": norms,
+        "product": product,
+        "status": status,
+        "diagnostics": diags,
+    }
 
 
-def cmd_split(args: argparse.Namespace) -> int:
+def cmd_split(args: argparse.Namespace) -> tuple[int, str, dict]:
     try:
         sd = cyclotomic.splitting_data(args.prime, args.conductor)
     except cyclotomic.RamifiedPrime:
         sd = None  # a result, not an error: reported, with exit 1
-    if args.json:
-        doc = wrap_document(
-            "splitting",
-            {
-                "conductor": args.conductor,
-                "prime": args.prime,
-                "classification": sd.classification if sd else "ramified",
-                "e": sd.e if sd else None,
-                "f": sd.f if sd else None,
-                "g": sd.g if sd else None,
-            },
-        )
-        _deliver(args, stable_json(doc))
-    elif sd:
-        _deliver(
-            args,
-            f"{sd.q} in Q(zeta_{sd.m}): e={sd.e} f={sd.f} g={sd.g} "
-            f"- {sd.classification}\n",
-        )
-    else:
-        _deliver(
-            args,
-            f"{args.prime} in Q(zeta_{args.conductor}): ramified "
-            f"(divides the conductor)\n",
-        )
-    return 0 if sd else 1
+    data = {"conductor": args.conductor, "prime": args.prime, "sd": sd}
+    return 0 if sd else 1, "splitting", data
 
 
-def cmd_inert_primes(args: argparse.Namespace) -> int:
+def cmd_inert_primes(args: argparse.Namespace) -> tuple[int, str, dict]:
     if args.count and not cyclotomic.unit_group_is_cyclic(args.conductor):
         raise arith.SearchExhausted(
             f"found only 0 of {args.count} primes below {args.ceiling}: "
@@ -410,42 +324,33 @@ def cmd_inert_primes(args: argparse.Namespace) -> int:
         exclude=set(args.exclude),
         ceiling=args.ceiling,
     )
-    if args.json:
-        doc = wrap_document(
-            "inert-primes",
-            {
-                "conductor": args.conductor,
-                "count": args.count,
-                "excluded": sorted(set(args.exclude)),
-                "primes": found,
-            },
-        )
-        _deliver(args, stable_json(doc))
-    else:
-        _deliver(
-            args,
-            f"first {args.count} primes inert in Q(zeta_{args.conductor}): "
-            + ", ".join(map(str, found))
-            + "\n",
-        )
-    return 0
+    return 0, "inert-primes", {
+        "conductor": args.conductor,
+        "count": args.count,
+        "excluded": sorted(set(args.exclude)),
+        "primes": found,
+    }
 
 
-def cmd_certificate(args: argparse.Namespace) -> int:
+def cmd_certificate(args: argparse.Namespace) -> tuple[int, str, dict]:
     fx = get_fixture(args.example)
     plan = build_plan(args.example)
     cert = build_certificate(plan, av=fx.av, n_max=args.n_max)
+    return 0, "certificate", {"fixture": args.example, "title": fx.title, "cert": cert}
+
+
+def _deliver(args: argparse.Namespace, kind: str, data: dict) -> None:
+    """Render ``kind`` in the one format asked for, to --out or to stdout."""
     if args.json:
-        doc = wrap_document(
-            "certificate",
-            {"fixture": args.example, **cert.to_json_doc()},
-        )
-        _deliver(args, stable_json(doc))
+        doc = report.wrap_document(kind, report.document_body(kind, data))
+        text = report.stable_json(doc)
     else:
-        lines = [f"certificate: {args.example} - {fx.title}"]
-        lines.extend(cert.to_text_lines())
-        _deliver(args, "\n".join(lines) + "\n")
-    return 0
+        text = report.text_block(kind, data)
+    if args.out is not None:
+        args.out.write_text(text, encoding="utf-8")
+        print(f"wrote {args.out}")
+    else:
+        sys.stdout.write(text)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -456,12 +361,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        code, kind, data = args.func(args)
+        _deliver(args, kind, data)
+        return code
     except tuple(_EXIT_CODES) as err:
         print(f"{args.command}: {err}", file=sys.stderr)
         if isinstance(err, ValidationFailed):
             for item in err.report.failures:
-                print(f"  {item.render()}", file=sys.stderr)
+                print(f"  {report.check_line(item)}", file=sys.stderr)
         return next(c for exc, c in _EXIT_CODES.items() if isinstance(err, exc))
 
 

@@ -476,10 +476,6 @@ class PrimeAbove:
     m: int
     root: int
 
-    def render(self, unicode_ok: bool = True) -> str:
-        z = "ζ" + str(self.m).translate(_SUB) if unicode_ok else f"zeta{self.m}"
-        return f"({self.q}, {z} - {self.root})"
-
 
 def primes_above(q: int, m: int) -> tuple[PrimeAbove, ...]:
     """The phi(m) degree-1 primes above a totally split q, by ascending root.

@@ -27,6 +27,7 @@ from .tower import (
 )
 
 __all__ = [
+    "BUNDLED_AV",
     "Fixture",
     "fixture_ids",
     "get_fixture",
@@ -103,6 +104,9 @@ _AV_19A1 = AbelianVarietyDesc(
     bad_primes=(19,),
     provenance="external-database",
 )
+
+#: the bundled abelian varieties by label, as ``construct --av`` offers them
+BUNDLED_AV = {av.label: av for av in (_AV_11A1, _AV_19A1)}
 
 
 @dataclass(frozen=True)

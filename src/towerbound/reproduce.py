@@ -14,7 +14,7 @@ from . import arith, catalog, cyclotomic, gf
 from .bounds import BoundCertificate, build_certificate
 from .catalog import Diagnostic
 from .fixtures import Fixture, build_plan, get_fixture
-from .report import wrap_document
+from .report import check_line
 from .tower import RelativeCubicBase, TowerPlan, ValidationFailed
 
 __all__ = ["CheckResult", "ReproductionResult", "run_reproduction"]
@@ -32,14 +32,6 @@ class CheckResult:
     status: str  # pass | warning | fail
     detail: str
     diagnostics: tuple[Diagnostic, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "detail": self.detail,
-            "diagnostics": [d.to_json() for d in self.diagnostics],
-        }
 
 
 @dataclass(frozen=True)
@@ -79,50 +71,6 @@ class ReproductionResult:
                 seen.setdefault((d.code, d.message), d)
         return tuple(seen.values())
 
-    def to_json_doc(self) -> dict:
-        body: dict = {
-            "fixture": self.fixture_id,
-            "title": self.title,
-            "checks": [c.to_json() for c in self.checks],
-            "diagnostics": [d.to_json() for d in self.all_diagnostics()],
-            "result": self.result,
-        }
-        body["plan"] = self.plan.to_json_doc() if self.plan else None
-        body["certificate"] = (
-            self.certificate.to_json_doc() if self.certificate else None
-        )
-        return wrap_document("reproduction", body)
-
-    def to_text_lines(self) -> list[str]:
-        lines = [f"reproduction: {self.fixture_id} - {self.title}"]
-        if self.plan is not None:
-            p = self.plan
-            lines.append(
-                f"  parameters: ell={p.ell} p={p.p} rank-target={p.rank_target} "
-                f"group={p.group.describe()} base={p.base.describe()}"
-            )
-            lines.append(
-                f"  selection: {len(p.selected_primes)} primes, "
-                f"{len(p.selected_places)} places, alpha has "
-                f"{len(arith.format_decimal(p.alpha))} digits"
-            )
-        lines.append("  checks:")
-        for c in self.checks:
-            lines.append(f"    [{c.status}] {c.name} - {c.detail}")
-        if self.certificate is not None:
-            lines.append("")
-            lines.append("  certificate:")
-            lines.extend("    " + ln for ln in self.certificate.to_text_lines())
-        diags = self.all_diagnostics()
-        if diags:
-            lines.append("")
-            lines.append("  diagnostics:")
-            for d in diags:
-                lines.append(f"    {d.render()}")
-        lines.append("")
-        lines.append(f"result: {self.result}")
-        return lines
-
 
 def run_reproduction(fixture_id: str, n_max: int = 4) -> ReproductionResult:
     """Rebuild a bundled example and verify every recomputable claim."""
@@ -139,9 +87,8 @@ def run_reproduction(fixture_id: str, n_max: int = 4) -> ReproductionResult:
                 CheckResult(
                     "construction",
                     FAIL,
-                    "validation failed: " + "; ".join(
-                        i.render() for i in err.report.failures
-                    ),
+                    "validation failed: "
+                    + "; ".join(map(check_line, err.report.failures)),
                 ),
             ),
         )

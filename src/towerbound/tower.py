@@ -51,11 +51,6 @@ class CheckItem:
     ok: bool
     detail: str = ""
 
-    def render(self) -> str:
-        mark = "ok" if self.ok else "FAIL"
-        tail = f" ({self.detail})" if self.detail else ""
-        return f"[{mark}] {self.name}{tail}"
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -70,9 +65,6 @@ class ValidationReport:
     @property
     def failures(self) -> tuple[CheckItem, ...]:
         return tuple(i for i in self.items if not i.ok)
-
-    def render(self) -> str:
-        return "\n".join(i.render() for i in self.items)
 
 
 class ValidationFailed(Exception):
@@ -469,18 +461,6 @@ class PlaceRef:
     q: int
     root: int | None = None  # root of the conductor's cyclotomic poly mod q
 
-    def render(self, conductor: int | None = None) -> str:
-        if self.root is None:
-            return str(self.q)
-        c = conductor if conductor is not None else "?"
-        return f"({self.q}, zeta_{c} - {self.root})"
-
-    def to_json(self) -> dict:
-        out: dict = {"q": self.q}
-        if self.root is not None:
-            out["root"] = self.root
-        return out
-
 
 @dataclass(frozen=True)
 class GapInflation:
@@ -537,73 +517,6 @@ class TowerPlan:
         """min(ell, p): the prime whose powers pace the fine-Selmer rows."""
         return min(self.ell, self.p)
 
-    # -- description --------------------------------------------------
-
-    def field_diagram(self) -> dict:
-        """Node/edge description of the relevant field lattice."""
-        ell = self.ell
-        base_label = self.base.describe()
-        nodes = [
-            {"id": "K0", "label": self.base.fixed_subfield_label()},
-            {"id": "K", "label": base_label},
-            {"id": "K_zeta", "label": f"K(zeta_{ell})"},
-            {"id": "L", "label": f"K(zeta_{ell}, alpha^(1/{ell}))"},
-            {"id": "K_tower", "label": "K_tower (pro-p tower over K)"},
-            {"id": "K_tower_zeta", "label": f"K_tower(zeta_{ell})"},
-            {"id": "L_tower", "label": f"K_tower(zeta_{ell}, alpha^(1/{ell}))"},
-        ]
-        edges = [
-            {"from": "K0", "to": "K", "degree": self.group.action_order},
-            {"from": "K", "to": "K_zeta", "degree": ell - 1},
-            {"from": "K_zeta", "to": "L", "degree": ell},
-            {"from": "K", "to": "K_tower", "degree": self.group.describe()},
-            {"from": "K_tower", "to": "K_tower_zeta", "degree": None},
-            {"from": "K_tower_zeta", "to": "L_tower", "degree": None},
-            {"from": "L", "to": "L_tower", "degree": None},
-            {"from": "K_zeta", "to": "K_tower_zeta", "degree": None},
-        ]
-        return {"nodes": nodes, "edges": edges}
-
-    def to_json_doc(self) -> dict:
-        alpha = arith.format_decimal(self.alpha)
-        doc: dict = {
-            "ell": self.ell,
-            "p": self.p,
-            "rank_target": self.rank_target,
-            "effective_rank_target": self.effective_rank_target,
-            "group": {
-                "family": self.group.family,
-                "p": self.group.p,
-                "dimension": self.group.dimension,
-                "action_order": self.group.action_order,
-                "twist_exponent": self.group.twist_exponent,
-                "description": self.group.describe(),
-            },
-            "base": {"description": self.base.describe()},
-            "ramified_target": self.ramified_target,
-            "ramified_target_formula": self.ramified_target_formula,
-            "selected_primes": list(self.selected_primes),
-            "selected_places": [pl.to_json() for pl in self.selected_places],
-            "alpha": alpha,
-            "alpha_digits": len(alpha),
-            "first_effective_layer": self.first_effective_layer,
-            "field_diagram": self.field_diagram(),
-            "diagnostics": [d.to_json() for d in self.diagnostics],
-        }
-        if isinstance(self.base, CyclotomicBase):
-            doc["base"]["conductor"] = self.base.conductor
-        else:
-            doc["base"]["conductor"] = self.base.base_conductor
-            doc["base"]["relative_poly"] = zpoly.format_poly(
-                list(self.base.poly), var="x"
-            )
-        if self.gap_inflation is not None:
-            doc["gap_inflation"] = {
-                "fine_rank_target": self.gap_inflation.fine_rank_target,
-                "gap_rank": self.gap_inflation.gap_rank,
-            }
-        return doc
-
 
 def _first_effective_layer(base: BaseField, group: GroupSpec) -> int:
     """Smallest layer from which the degree bookkeeping is in force."""
@@ -625,7 +538,6 @@ def build_tower_plan(
     gap_rank: int | None = None,
     ramified_target_override: int | None = None,
     primes_override: Sequence[int] | None = None,
-    search_ceiling: int = arith.DEFAULT_SEARCH_CEILING,
     extra_diagnostics: Iterable[Diagnostic] = (),
 ) -> TowerPlan:
     """Validate every hypothesis and select the split/inert prime data.
@@ -725,7 +637,6 @@ def build_tower_plan(
             need,
             predicate=base.prime_qualifies,
             exclude={group.p},
-            ceiling=search_ceiling,
         )
     report = ValidationReport(tuple(post_items))
     if not report.passed:

@@ -6,19 +6,13 @@ The zero polynomial is the empty list.  All arithmetic is exact.
 
 from __future__ import annotations
 
-import re
 from typing import Sequence
 
 __all__ = [
-    "PolynomialParseError",
     "normalize",
     "degree",
-    "leading",
     "add",
-    "sub",
-    "neg",
     "mul",
-    "scale",
     "divmod_monicish",
     "div_exact",
     "eval_at",
@@ -26,14 +20,9 @@ __all__ = [
     "resultant",
     "discriminant",
     "format_poly",
-    "parse_poly",
 ]
 
 Poly = list[int]
-
-
-class PolynomialParseError(ValueError):
-    """Raised when a polynomial string does not match the accepted grammar."""
 
 
 def normalize(p: Sequence[int]) -> Poly:
@@ -50,24 +39,11 @@ def degree(p: Sequence[int]) -> int:
     return len(q) - 1
 
 
-def leading(p: Sequence[int]) -> int:
-    q = normalize(p)
-    return q[-1] if q else 0
-
-
 def add(a: Sequence[int], b: Sequence[int]) -> Poly:
     n = max(len(a), len(b))
     return normalize(
         [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
     )
-
-
-def neg(a: Sequence[int]) -> Poly:
-    return [-c for c in a]
-
-
-def sub(a: Sequence[int], b: Sequence[int]) -> Poly:
-    return add(a, neg(list(b)))
 
 
 def mul(a: Sequence[int], b: Sequence[int]) -> Poly:
@@ -82,10 +58,6 @@ def mul(a: Sequence[int], b: Sequence[int]) -> Poly:
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return normalize(out)
-
-
-def scale(a: Sequence[int], k: int) -> Poly:
-    return normalize([k * c for c in a])
 
 
 def divmod_monicish(a: Sequence[int], b: Sequence[int]) -> tuple[Poly, Poly]:
@@ -220,71 +192,3 @@ def format_poly(p: Sequence[int], var: str = "x") -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
-
-
-_TERM_RE = re.compile(
-    r"""^([+-]?)          # sign
-        (\d+)?            # coefficient digits
-        (?:\*?\s*
-           ([A-Za-z]\w*)  # variable
-           (?:\s*(?:\^|\*\*)\s*(\d+))?   # exponent
-        )?$""",
-    re.VERBOSE,
-)
-
-
-def parse_poly(text: str, var: str = "x") -> Poly:
-    """Parse ASCII polynomials like ``x^3 - x^2 - 4*x - 1``.
-
-    Accepts ``^`` or ``**`` for powers, an optional ``*`` between coefficient
-    and variable, and a unicode minus.  Raises
-    :class:`PolynomialParseError` on anything else.
-    """
-    s = text.replace("−", "-").replace("–", "-").strip()
-    if not s:
-        raise PolynomialParseError("empty polynomial string")
-    # Insert explicit separators then split into signed terms.
-    s = s.replace("-", " -").replace("+", " +")
-    # Protect exponents written as x^ -3?  Negative exponents are not in the
-    # grammar, so a sign always starts a new term.
-    chunks = [c for c in s.split() if c not in ("+", "-")]
-    # Re-attach bare signs to the following chunk.
-    terms: list[str] = []
-    pending_sign = ""
-    for c in s.split():
-        if c in ("+", "-"):
-            pending_sign = c
-            continue
-        terms.append(pending_sign + c)
-        pending_sign = ""
-    if pending_sign:
-        raise PolynomialParseError(f"dangling sign in {text!r}")
-    del chunks
-    coeffs: dict[int, int] = {}
-    for t in terms:
-        m = _TERM_RE.match(t.replace(" ", ""))
-        if not m:
-            raise PolynomialParseError(f"bad term {t!r} in {text!r}")
-        sign_s, digits, name, exp_s = m.groups()
-        if digits is None and name is None:
-            raise PolynomialParseError(f"bad term {t!r} in {text!r}")
-        if name is not None and name != var:
-            raise PolynomialParseError(
-                f"unexpected variable {name!r} (wanted {var!r}) in {text!r}"
-            )
-        coef = int(digits) if digits is not None else 1
-        if sign_s == "-":
-            coef = -coef
-        if name is None:
-            exp = 0
-        elif exp_s is None:
-            exp = 1
-        else:
-            exp = int(exp_s)
-        coeffs[exp] = coeffs.get(exp, 0) + coef
-    if not coeffs:
-        raise PolynomialParseError(f"no terms found in {text!r}")
-    out = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return normalize(out)

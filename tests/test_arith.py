@@ -149,12 +149,20 @@ def test_primes_ascending_exhaustion_at_the_ceiling(q):
     assert arith.primes_ascending(1, predicate=wanted, ceiling=q + 1) == [q]
 
 
-def test_parse_and_format_decimal():
-    assert arith.parse_decimal(" 12345 ") == 12345
-    assert arith.parse_decimal("-17") == -17
+@pytest.mark.parametrize("ceiling", [0, 1, 2])
+def test_primes_ascending_zero_count_never_exhausts(ceiling):
+    # A quota of zero is met before the ceiling is looked at; a quota of one
+    # needs the prime 2 below the ceiling.
+    assert arith.primes_ascending(0, ceiling=ceiling) == []
+    if ceiling < 2:
+        with pytest.raises(arith.SearchExhausted):
+            arith.primes_ascending(1, ceiling=ceiling)
+    else:
+        assert arith.primes_ascending(1, ceiling=ceiling) == [2]
+
+
+def test_format_decimal_small_values():
     assert arith.format_decimal(10**30) == "1" + "0" * 30
-    with pytest.raises(ValueError):
-        arith.parse_decimal("12x3")
 
 
 def _chunked_decimal(n):

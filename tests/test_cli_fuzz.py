@@ -277,3 +277,20 @@ def test_dense_factor_at_the_conductor_cap_fits_the_budget(run_cli):
     assert code == 1, err  # 1 + zeta^-1 is a unit but not a root of unity
     assert "factors: 1 (norms: 1)\n" in out
     assert "status: mismatch\n" in out
+
+
+def test_ceiling_above_the_default_is_malformed_at_once(run_cli):
+    # With a ceiling of 10**12 this scan ran for minutes; the parser caps the
+    # ceiling at arith.DEFAULT_SEARCH_CEILING before any scanning starts.
+    with _deadline(5):
+        code, out, err = run_cli(
+            "inert-primes", "3", "--count", "100000000", "--ceiling", "1000000000000",
+        )
+    assert (code, out) == (2, "")
+    assert "--ceiling: must be in [0, 10000000], got 1000000000000\n" in err
+
+
+@pytest.mark.parametrize("ceiling", ["0", "1", "2"])
+def test_zero_count_never_exhausts(run_cli, ceiling):
+    code, out, err = run_cli("inert-primes", "3", "--count", "0", "--ceiling", ceiling)
+    assert (code, out, err) == (0, "first 0 primes inert in Q(zeta_3): \n", "")

@@ -344,7 +344,7 @@ def test_primes_above_split_case():
     poly = list(cyclotomic_polynomial(7).poly)
     for p in pins:
         assert zpoly.eval_at(poly, p.root) % 43 == 0
-    assert pins[0].render(unicode_ok=False) == "(43, zeta7 - 4)"
+    assert (pins[0].q, pins[0].m, pins[0].root) == (43, 7, 4)
 
 
 def test_primes_above_requires_total_split():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from towerbound import cyclotomic
+from towerbound import cyclotomic, report
 from towerbound.tower import (
     AssumptionChecklist,
     ChecklistItem,
@@ -225,7 +225,7 @@ def test_relative_base_places():
 
 def test_field_diagram_edges():
     plan = build_tower_plan(5, ABELIAN_1, CyclotomicBase(3), 2)
-    diagram = plan.field_diagram()
+    diagram = report.field_diagram(plan)
     degrees = {(e["from"], e["to"]): e["degree"] for e in diagram["edges"]}
     assert degrees[("K0", "K")] == 2
     assert degrees[("K", "K_zeta")] == 4

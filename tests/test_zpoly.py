@@ -69,24 +69,3 @@ def test_format_poly():
     assert zpoly.format_poly([]) == "0"
     assert zpoly.format_poly([5]) == "5"
     assert zpoly.format_poly([0, -1]) == "-x"
-
-
-def test_parse_poly_roundtrip():
-    rng = random.Random(11)
-    for _ in range(80):
-        p = zpoly.normalize([rng.randrange(-20, 21) for _ in range(rng.randrange(1, 7))])
-        assert zpoly.parse_poly(zpoly.format_poly(p)) == p
-
-
-def test_parse_poly_variants():
-    want = [-1, -4, -1, 1]
-    assert zpoly.parse_poly("x^3 - x^2 - 4*x - 1") == want
-    assert zpoly.parse_poly("x**3 - x**2 - 4x - 1") == want
-    assert zpoly.parse_poly("-1 - 4x - x^2 + x^3") == want
-    assert zpoly.parse_poly("x^3 − x^2 − 4*x − 1") == want  # unicode minus
-
-
-def test_parse_poly_rejects_garbage():
-    for bad in ("", "x^", "y + x", "x^-2", "3..5"):
-        with pytest.raises(zpoly.PolynomialParseError):
-            zpoly.parse_poly(bad)
