@@ -10,6 +10,7 @@ what the bound chain in :mod:`towerbound.bounds` consumes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -435,12 +436,37 @@ class RelativeCubicBase:
                         return False
         return True
 
+    @functools.cached_property
+    def _qualifying_classes(self) -> tuple[int, frozenset[int]] | None:
+        # (N, the classes mod N of the qualifying primes) when the cubic is
+        # cyclic of prime conductor f; None sends prime_qualifies to gf.
+        disc = zpoly.discriminant(list(self.poly))
+        f = math.isqrt(max(disc, 0))
+        if not (self._irreducible_over_q() and f * f == disc and f % 3 == 1
+                and arith.is_prime(f)):
+            return None
+        step = self.base_conductor if self.base_conductor > 2 else 1
+        n = step * f
+        return n, frozenset(
+            r for r in range(1, n, step) if r % f and pow(r, (f - 1) // 3, f) != 1
+        )
+
     def prime_qualifies(self, q: int) -> bool:
         """Whether the prime ``q`` splits totally downstairs, then stays inert.
 
         ``q`` must already be prime.  It splits totally in Q(zeta_c) iff
-        q = 1 (mod c), or always over c <= 2.
+        q = 1 (mod c), or always over c <= 2.  An irreducible cubic of
+        discriminant f^2, f a prime = 1 (mod 3), has field discriminant f^2
+        (the quotient is a square, and no field has discriminant 1), so by the
+        conductor-discriminant formula (Washington, Introduction to Cyclotomic
+        Fields, Thm 3.11) it cuts out the cubic subfield of Q(zeta_f).  By the
+        Artin map, q != f stays inert there iff q is not a cube mod f, so q
+        qualifies iff its class mod cf (mod f over c <= 2) is in a set built
+        once per base.  Other cubics take the Rabin test over F_q.
         """
+        table = self._qualifying_classes
+        if table is not None:
+            return q % table[0] in table[1]
         c = self.base_conductor
         if c > 2 and q % c != 1:
             return False

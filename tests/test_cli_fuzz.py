@@ -294,3 +294,22 @@ def test_ceiling_above_the_default_is_malformed_at_once(run_cli):
 def test_zero_count_never_exhausts(run_cli, ceiling):
     code, out, err = run_cli("inert-primes", "3", "--count", "0", "--ceiling", ceiling)
     assert (code, out, err) == (0, "first 0 primes inert in Q(zeta_3): \n", "")
+
+
+def test_cubic_rank_target_past_the_ceiling_exhausts_at_once():
+    # Needing about 1.7 * 10^7 qualifying primes, this scan ran a Rabin test
+    # on every q = 1 (mod 7) below the ceiling; the residue-class predicate
+    # makes it a lookup per candidate.  A subprocess with a timeout keeps a
+    # regression from hanging the suite.
+    proc = subprocess.run(
+        [sys.executable, "-m", "towerbound", "construct", "--base",
+         "bundled-cubic", "--ell", "3", "--p", "7", "--family",
+         "nilpotent-class-2", "--dimension", "3", "--twist-exponent", "1",
+         "--rank-target", "100000000"],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr == (
+        "construct: found only 73677 of 16666676 primes below 10000000\n"
+    )

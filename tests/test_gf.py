@@ -204,10 +204,23 @@ def test_inertness_law_matches_residue_field_route():
             assert seen == {True, False}, (m, f)
 
 
+# Cubics with their conductor sweeps: the first two have discriminant f^2 for
+# a prime f = 1 (mod 3) and take the residue-class table; the others fall
+# back to the Rabin test, the fourth because 448 = 1 (mod 3) is not prime.
+RELATIVE_CUBICS = (
+    ((-1, -4, -1, 1), range(1, 61)),  # disc 13^2, the bundled cubic
+    ((-1, -2, 1, 1), (13, 14)),  # x^3 + x^2 - 2x - 1, disc 7^2
+    ((1, -3, 0, 1), (7, 9)),  # x^3 - 3x + 1, disc 9^2 with 9 not prime
+    ((-64, -32, 4, 1), (7, 13)),  # root 4 * a root of the second, disc 448^2
+    ((-1, -1, 0, 1), (7, 23)),  # x^3 - x - 1, disc -23, group S_3
+)
+
+
 def test_relative_prime_qualifies_matches_residue_field_route(monkeypatch):
     # Naive oracle: residue degree from splitting_data, then the F_{q^f}
-    # route.  Both routes end in the same Rabin test over F_q, which C10
-    # checks on its own; memoizing it keeps this sweep affordable.
+    # route.  The oracle's Rabin test is the one C10 checks on its own, and
+    # the fallback cubics share it with prime_qualifies; memoizing it keeps
+    # this sweep affordable.
     memo = {}
     rabin = gf.is_irreducible
 
@@ -229,11 +242,12 @@ def test_relative_prime_qualifies_matches_residue_field_route(monkeypatch):
 
     primes = [q for q in range(2, 20_000)
               if all(q % d for d in range(2, math.isqrt(q) + 1))]
-    accepted = 0
-    for m in range(1, 61):
-        base = RelativeCubicBase(base_conductor=m, poly=(-1, -4, -1, 1))
-        for q in primes:
-            got = base.prime_qualifies(q)
-            assert got == oracle(base, q), (m, q)
-            accepted += got
-    assert accepted > 0
+    for cubic, conductors in RELATIVE_CUBICS:
+        accepted = 0
+        for m in conductors:
+            base = RelativeCubicBase(base_conductor=m, poly=cubic)
+            for q in primes:
+                got = base.prime_qualifies(q)
+                assert got == oracle(base, q), (cubic, m, q)
+                accepted += got
+        assert accepted > 0, cubic

@@ -234,6 +234,62 @@ def test_field_diagram_edges():
     assert {"K0", "K", "K_zeta", "L", "K_tower", "K_tower_zeta", "L_tower"} <= ids
 
 
+def _root_free_mod(poly, q):
+    """gcd(x^q - x, poly) = 1 over F_q for a monic cubic: no root in F_q."""
+
+    def mulmod(a, b):
+        prod = [0] * 5
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for k in (4, 3):  # x^3 = -(c0 + c1 x + c2 x^2)
+            top, prod[k] = prod[k], 0
+            for i in range(3):
+                prod[k - 3 + i] -= top * poly[i]
+        return [x % q for x in prod[:3]]
+
+    acc, sq, e = [1, 0, 0], [0, 1, 0], q
+    while e:
+        if e & 1:
+            acc = mulmod(acc, sq)
+        sq, e = mulmod(sq, sq), e >> 1
+    a, b = [c % q for c in poly], [acc[0], (acc[1] - 1) % q, acc[2]]
+    while any(b):  # Euclid over F_q; a stays the remainder sequence's head
+        while b and b[-1] == 0:
+            b.pop()
+        inv = pow(b[-1], -1, q)
+        while len(a) >= len(b):
+            t = a[-1] * inv % q
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - t * c) % q
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def test_bundled_cubic_qualifies_by_residue_class_below_a_million():
+    # The residue-class predicate against the definition, prime by prime:
+    # q = 1 (mod 7) splits completely in Q(zeta_7), q = 13 divides the
+    # discriminant, and the cubic stays inert over F_q iff it has no root.
+    cubic = (-1, -4, -1, 1)
+    base = RelativeCubicBase(base_conductor=7, poly=cubic)
+    limit = 10**6
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for d in range(2, math.isqrt(limit) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, limit, d)))
+    accepted = 0
+    for q in (q for q in range(limit) if sieve[q]):
+        want = q % 7 == 1 and q != 13 and _root_free_mod(cubic, q)
+        assert base.prime_qualifies(q) == want, q
+        accepted += want
+    assert accepted == 8740
+
+
 def test_cyclotomic_prime_qualifies_matches_splitting_data():
     # Naive oracle: the route through splitting_data, which proves q prime
     # again and raises for q | m; over m <= 2 it calls every prime inert.
