@@ -440,10 +440,11 @@ class RelativeCubicBase:
     def _qualifying_classes(self) -> tuple[int, frozenset[int]] | None:
         # (N, the classes mod N of the qualifying primes) when the cubic is
         # cyclic of prime conductor f; None sends prime_qualifies to gf.
+        if not self._irreducible_over_q():
+            return None
         disc = zpoly.discriminant(list(self.poly))
         f = math.isqrt(max(disc, 0))
-        if not (self._irreducible_over_q() and f * f == disc and f % 3 == 1
-                and arith.is_prime(f)):
+        if f * f != disc or f % 3 != 1 or not arith.is_prime(f):
             return None
         step = self.base_conductor if self.base_conductor > 2 else 1
         n = step * f
