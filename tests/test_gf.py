@@ -251,3 +251,176 @@ def test_relative_prime_qualifies_matches_residue_field_route(monkeypatch):
                 assert got == oracle(base, q), (cubic, m, q)
                 accepted += got
         assert accepted > 0, cubic
+
+
+# ---------------------------------------------------------------------------
+# int codes against coordinate arithmetic done here, without ExtensionField's
+# own methods
+# ---------------------------------------------------------------------------
+
+
+def _coord_mul(q, gen, a, b):
+    """Product of coordinate tuples: convolve, then reduce modulo the monic generator."""
+    f = len(gen) - 1
+    prod = [0] * (2 * f - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, f - 1, -1):
+        c = prod[k] % q
+        for i, g in enumerate(gen):
+            prod[k - f + i] -= c * g
+    return tuple(c % q for c in prod[:f])
+
+
+def _check_codes(K, pairs):
+    q, f, gen = K.q, K.degree, K.generator
+    C = K.codes
+    zero, one = (0,) * f, (1,) + (0,) * (f - 1)
+    assert C.encode(zero) == 0 and C.encode(one) == 1
+    assert C.decode(C.from_int(q - 1)) == (q - 1,) + (0,) * (f - 1)
+    minus_one = C.neg(1)
+    for a, b in pairs:
+        ca, cb = C.encode(a), C.encode(b)
+        assert C.decode(ca) == a and C.decode(cb) == b
+        add = tuple((x + y) % q for x, y in zip(a, b))
+        sub = tuple((x - y) % q for x, y in zip(a, b))
+        prod = _coord_mul(q, gen, a, b)
+        assert C.decode(C.mul(ca, cb)) == prod
+        assert C.decode(C.neg(ca)) == tuple(-x % q for x in a)
+        out = [ca, ca]
+        C.axpy(out, 0, 1, [cb])
+        C.axpy(out, 1, minus_one, [cb])
+        assert [C.decode(c) for c in out] == [add, sub]
+        if any(a):
+            out = [cb]
+            C.axpy(out, 0, ca, [ca])  # b + a * a
+            assert C.decode(out[0]) == tuple(
+                (x + y) % q for x, y in zip(b, _coord_mul(q, gen, a, a))
+            )
+            assert _coord_mul(q, gen, a, C.decode(C.inv(ca))) == one
+    with pytest.raises(ZeroDivisionError):
+        C.inv(C.encode(zero))
+
+
+SMALL_EXTENSIONS = [(q, f) for q in (2, 3, 5, 7) for f in range(2, 7) if q**f <= 64]
+
+
+@pytest.mark.parametrize("q,f", SMALL_EXTENSIONS)
+def test_codes_match_coordinate_arithmetic_on_every_pair(q, f):
+    K = build_extension_field(q, f)
+    assert isinstance(K.codes, gf._Zech)
+    elements = list(itertools.product(range(q), repeat=f))
+    assert sorted(K.codes.encode(a) for a in elements) == list(range(q**f))
+    _check_codes(K, itertools.product(elements, repeat=2))
+
+
+def test_codes_match_coordinate_arithmetic_across_the_table_threshold():
+    # F_{2^k} with 2^k <= _ZECH_MAX < 2^(k+1): tables below, coordinates above
+    k = gf._ZECH_MAX.bit_length() - 1
+    rng = random.Random(1024)
+    for degree, kind in ((k, gf._Zech), (k + 1, gf._Coords)):
+        K = build_extension_field(2, degree)
+        assert isinstance(K.codes, kind)
+        pairs = [
+            tuple(tuple(rng.randrange(2) for _ in range(degree)) for _ in range(2))
+            for _ in range(300)
+        ]
+        _check_codes(K, pairs)
+
+
+# ---------------------------------------------------------------------------
+# the Rabin test from degree 4, where Frobenius powers go by composition
+# ---------------------------------------------------------------------------
+
+
+class _Tables:
+    """A finite field's arithmetic as tables over element indices, built here."""
+
+    def __init__(self, q, gen):
+        f = len(gen) - 1
+        self.elements = list(itertools.product(range(q), repeat=f))
+        index = {a: i for i, a in enumerate(self.elements)}
+        self.one = index[(1,) + (0,) * (f - 1)]
+        self.sub = [[index[tuple((x - y) % q for x, y in zip(a, b))]
+                     for b in self.elements] for a in self.elements]
+        self.mul = [[index[_coord_mul(q, gen, a, b) if f > 1 else (a[0] * b[0] % q,)]
+                     for b in self.elements] for a in self.elements]
+
+    def monic(self, degree):
+        for tail in itertools.product(range(len(self.elements)), repeat=degree):
+            yield list(tail) + [self.one]
+
+    def divides(self, g, p):
+        r = list(p)
+        for k in range(len(p) - len(g), -1, -1):
+            c = r[k + len(g) - 1]
+            if c:
+                for i, gi in enumerate(g):
+                    r[k + i] = self.sub[r[k + i]][self.mul[c][gi]]
+        return not any(r[: len(g) - 1])
+
+    def irreducible(self, p):
+        """No monic divisor of degree 1 .. deg/2: exhaustive."""
+        n = len(p) - 1
+        return not any(
+            self.divides(g, p) for d in range(1, n // 2 + 1) for g in self.monic(d)
+        )
+
+    def times(self, a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = self.sub[out[i + j]][self.sub[0][self.mul[x][y]]]
+        return out
+
+
+@pytest.mark.parametrize("q,f", [(2, 2), (2, 3), (3, 2)])
+def test_is_irreducible_degrees_4_to_6_against_divisor_search(q, f):
+    K = build_extension_field(q, f)
+    T = _Tables(q, K.generator)
+    rng = random.Random(q**f)
+    Q = len(T.elements)
+
+    def random_monic(degree):
+        return [rng.randrange(Q) for _ in range(degree)] + [T.one]
+
+    def irreducible_of(degree):
+        while True:
+            p = random_monic(degree)
+            if T.irreducible(p):
+                return p
+
+    for n in (4, 5, 6):
+        # random monics until three of each verdict, plus products of two
+        # irreducibles of degrees n // 2 and n - n // 2 (the gcd steps' case)
+        picked = {True: [], False: []}
+        while min(len(v) for v in picked.values()) < 3:
+            p = random_monic(n)
+            picked[T.irreducible(p)].append(p)
+        products = [T.times(irreducible_of(n // 2), irreducible_of(n - n // 2))
+                    for _ in range(2)]
+        for want, polys in ((True, picked[True]), (False, picked[False] + products)):
+            for p in polys:
+                assert is_irreducible(K, [T.elements[c] for c in p]) == want, (q, f, p)
+
+
+@pytest.mark.parametrize("q,f,degrees", [(37, 2, (4, 5)), (11, 3, (4, 5, 6))])
+def test_is_irreducible_above_the_table_threshold_follows_lidl_niederreiter(q, f, degrees):
+    # An integer polynomial of degree n is irreducible over F_{q^f} iff it is
+    # irreducible over F_q and gcd(n, f) = 1; F_q's verdict is an exhaustive
+    # divisor search here.
+    K = build_extension_field(q, f)
+    assert K.size > gf._ZECH_MAX and isinstance(K.codes, gf._Coords)
+    Fq = _Tables(q, (0, 1))
+    rng = random.Random(q**f)
+    for n in degrees:
+        seen = {True: 0, False: 0}
+        while min(seen.values()) < 2:
+            p = [rng.randint(-50, 50) for _ in range(n)] + [1]
+            over_q = Fq.irreducible([c % q for c in p])
+            if seen[over_q] == 2:
+                continue
+            seen[over_q] += 1
+            want = over_q and math.gcd(n, f) == 1
+            assert is_irreducible(K, [K.from_int(c) for c in p]) == want, (q, f, p)
