@@ -224,7 +224,7 @@ def build_certificate(
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     g = plan.group
-    d0 = g.action_order * plan.ell * (plan.ell - 1) * g.dimension
+    d0 = plan.degree_lower(0)
     net = max(plan.ramified_target - d0, 0)
     trace: list[TraceStep] = [
         TraceStep(
@@ -322,26 +322,21 @@ def build_certificate(
         ram = plan.ramified_lower(n)
         deg = plan.degree_lower(n)
         amb = ambiguous_lower(ram, deg)
-        row = CertificateRow(
-            layer=n,
-            ramified_places=ram,
-            layer_degree=deg,
-            ambiguous_bound=amb,
-            class_rank_bound=amb,
-        )
+        claimed = conservative = None
         if fine:
             assert av is not None and gap_rank is not None
-            fs = fine_selmer_lower(plan, av, gap_rank, n)
-            row = CertificateRow(
+            claimed, conservative = fine_selmer_lower(plan, av, gap_rank, n)
+        rows.append(
+            CertificateRow(
                 layer=n,
                 ramified_places=ram,
                 layer_degree=deg,
                 ambiguous_bound=amb,
                 class_rank_bound=amb,
-                fine_claimed=fs.claimed,
-                fine_conservative=fs.conservative,
+                fine_claimed=claimed,
+                fine_conservative=conservative,
             )
-        rows.append(row)
+        )
 
     return BoundCertificate(
         plan=plan,

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from . import arith, catalog, cyclotomic, report
+from . import arith, cyclotomic, report
 from .bounds import build_certificate
 from .fixtures import (
     BUNDLED_AV,
@@ -32,7 +32,7 @@ from .fixtures import (
     fixture_ids,
     get_fixture,
 )
-from .reproduce import run_reproduction
+from .reproduce import factor_check, run_reproduction
 from .tower import (
     CyclotomicBase,
     EqualPrimes,
@@ -240,10 +240,7 @@ def cmd_construct(args: argparse.Namespace) -> tuple[int, str, dict]:
         base = CyclotomicBase(conductor=args.conductor)
         checklist = None
     else:
-        p = get_fixture("example3").group.p
-        if args.p != p:
-            raise ValueError(f"the bundled cubic base assumes p = {p}")
-        base, checklist = bundled_cubic_base()
+        base, checklist = bundled_cubic_base(args.p)
 
     av = None
     if args.av is not None:
@@ -264,42 +261,8 @@ def cmd_construct(args: argparse.Namespace) -> tuple[int, str, dict]:
 
 
 def cmd_verify_factorization(args: argparse.Namespace) -> tuple[int, str, dict]:
-    mod = cyclotomic.cyclotomic_polynomial(args.conductor)
-    factors = [cyclotomic.parse_cyclo_element(s, args.conductor) for s in args.factor]
-    product = cyclotomic.cyclo_mul(mod, factors)
-    norms = [f.norm() for f in factors]
-    match = cyclotomic.match_up_to_unit(product, args.target)
-    diags = []
-    if match is None:
-        status = "mismatch"
-        code = 1
-    elif match == (1, 0):
-        status = "exact"
-        code = 0
-    else:
-        status = "unit"
-        code = 0
-        sign, k = match
-        unit = ("-" if sign < 0 else "") + (
-            f"zeta_{args.conductor}^{k}" if k else "1"
-        )
-        diags.append(
-            catalog.make(
-                "FACTOR-UNIT-DISCREPANCY",
-                f"the factors multiply to {product.render(False)}, which is "
-                f"{args.target} times the unit {unit} rather than "
-                f"{args.target} itself",
-            )
-        )
-    return code, "factor-check", {
-        "conductor": args.conductor,
-        "target": args.target,
-        "factors": factors,
-        "factor_norms": norms,
-        "product": product,
-        "status": status,
-        "diagnostics": diags,
-    }
+    data, _ = factor_check(args.conductor, args.target, args.factor)
+    return (1 if data["status"] == "mismatch" else 0), "factor-check", data
 
 
 def cmd_split(args: argparse.Namespace) -> tuple[int, str, dict]:

@@ -480,17 +480,20 @@ class PrimeAbove:
 def primes_above(q: int, m: int) -> tuple[PrimeAbove, ...]:
     """The phi(m) degree-1 primes above a totally split q, by ascending root.
 
-    Requires residue degree 1 (:class:`NotTotallySplit` otherwise).  The roots
-    of the m-th cyclotomic polynomial mod q are the primitive m-th roots of
-    unity omega^k, gcd(k, m) = 1, for any one of them, omega; finding omega
-    and its powers costs O(phi(m) log q).  The only even split prime is q = 2
-    over m <= 2, where Phi_m = x + 1 mod 2 has the single root 1.
+    q is taken to be prime; this is not checked.  For m > 2, q must not
+    divide m (:class:`RamifiedPrime`) and must be 1 mod m, i.e. have residue
+    degree 1 (:class:`NotTotallySplit` otherwise).  The roots of the m-th
+    cyclotomic polynomial mod q are the primitive m-th roots of unity
+    omega^k, gcd(k, m) = 1, for any one of them, omega; finding omega and its
+    powers costs O(phi(m) log q).  The only even split prime is q = 2 over
+    m <= 2, where Phi_m = x + 1 mod 2 has the single root 1.
     """
-    sd = splitting_data(q, m)
-    if sd.f != 1:
-        raise NotTotallySplit(
-            f"{q} has residue degree {sd.f} > 1 in conductor {m}"
-        )
+    if m < 1:
+        raise ValueError("conductor must be >= 1")
+    if m > 2 and m % q == 0:
+        raise RamifiedPrime(f"{q} divides the conductor {m}")
+    if m > 2 and q % m != 1:
+        raise NotTotallySplit(f"{q} is not 1 mod {m}, so its residue degree exceeds 1")
     if q == 2:
         roots = [1]
     else:

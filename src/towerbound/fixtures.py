@@ -76,7 +76,10 @@ _EX3_ALPHA = int(
     "108239313497652801991067685041337071171617321114788409671453358754013644971"
 )
 
-_EX3_CUBIC = (-1, -4, -1, 1)  # x^3 - x^2 - 4x - 1, constant term first
+_EX3_P = 7
+
+# x^3 - x^2 - 4x - 1 (constant term first) over Q(zeta_7)
+_EX3_BASE = RelativeCubicBase(base_conductor=7, poly=(-1, -4, -1, 1))
 
 _EX3_FACTOR_TARGET = 43
 
@@ -121,10 +124,11 @@ class Fixture:
     base: CyclotomicBase | RelativeCubicBase
     pinned_primes: tuple[int, ...]
     pinned_alpha: int
-    stated_alpha_digits: int | None
-    pinned_ramified_count: int | None
-    av: AbelianVarietyDesc | None
-    declared_gap_rank: int
+    stated_alpha_digits: int | None = None
+    pinned_ramified_count: int | None = None  # replaces the formula's count
+    pins_primes: bool = False  # the plan takes pinned_primes, not a search
+    av: AbelianVarietyDesc | None = None
+    declared_gap_rank: int = 0
     factor_target: int | None = None
     factor_strings: tuple[str, ...] | None = None
 
@@ -144,9 +148,7 @@ _FIXTURES: dict[str, Fixture] = {
         pinned_primes=_EX1_PRIMES,
         pinned_alpha=_EX1_ALPHA,
         stated_alpha_digits=93,
-        pinned_ramified_count=None,
         av=_AV_11A1,
-        declared_gap_rank=0,
     ),
     "example2": Fixture(
         fixture_id="example2",
@@ -157,10 +159,7 @@ _FIXTURES: dict[str, Fixture] = {
         base=CyclotomicBase(conductor=9),
         pinned_primes=_EX2_PRIMES,
         pinned_alpha=_EX2_ALPHA,
-        stated_alpha_digits=None,
         pinned_ramified_count=90,
-        av=None,
-        declared_gap_rank=0,
     ),
     "example3": Fixture(
         fixture_id="example3",
@@ -168,19 +167,17 @@ _FIXTURES: dict[str, Fixture] = {
         ell=3,
         rank_target=6,
         group=GroupSpec(
-            p=7,
+            p=_EX3_P,
             dimension=3,
             action_order=3,
             family=FAMILY_NILPOTENT,
             twist_exponent=1,
         ),
-        base=RelativeCubicBase(base_conductor=7, poly=_EX3_CUBIC),
+        base=_EX3_BASE,
         pinned_primes=_EX3_PRIMES,
         pinned_alpha=_EX3_ALPHA,
-        stated_alpha_digits=None,
-        pinned_ramified_count=None,
+        pins_primes=True,
         av=_AV_19A1,
-        declared_gap_rank=0,
         factor_target=_EX3_FACTOR_TARGET,
         factor_strings=_EX3_FACTORS,
     ),
@@ -200,16 +197,17 @@ def get_fixture(fixture_id: str) -> Fixture:
         ) from None
 
 
-def bundled_cubic_base() -> tuple[RelativeCubicBase, AssumptionChecklist]:
+def bundled_cubic_base(p: int) -> tuple[RelativeCubicBase, AssumptionChecklist]:
     """The relative cubic base of example3 with its hypothesis checklist.
 
-    The checklist is discharged for example3's tower prime p.  Three of its
-    four items are computed on the spot; the class-group item rests on the
-    standard tables and says so in its provenance.
+    The checklist is discharged for example3's tower prime, the only p
+    accepted (ValueError otherwise).  Three of its four items are computed
+    on the spot; the class-group item rests on the standard tables and says
+    so in its provenance.
     """
-    fx = get_fixture("example3")
-    base, p = fx.base, fx.group.p
-    assert isinstance(base, RelativeCubicBase)
+    if p != _EX3_P:
+        raise ValueError(f"the bundled cubic base assumes p = {_EX3_P}")
+    base = _EX3_BASE
     poly = list(base.poly)
     disc = zpoly.discriminant(poly)
     residue = gf.PrimeField(p)
@@ -265,69 +263,52 @@ def _is_power_of(n: int, p: int) -> bool:
 
 
 def build_plan(fixture_id: str) -> TowerPlan:
-    """Build the tower plan for a fixture, pinning data where the example does.
+    """Build the tower plan for a fixture, pinning what the fixture pins.
 
-    example1 derives everything from the parameters.  example2 pins the
-    published place count (which disagrees with the formula) and carries the
-    two catalogued warnings.  example3 pins the published prime list, which
-    qualifies but is not the ascending-minimal choice.
+    A relative base brings its hypothesis checklist.  A pinned place count
+    replaces the formula value and carries the two catalogued warnings on
+    it (example2); ``pins_primes`` replaces the ascending search with the
+    pinned list, which must still qualify (example3).
     """
     fx = get_fixture(fixture_id)
-    if fixture_id == "example1":
-        return build_tower_plan(
-            fx.ell,
-            fx.group,
-            fx.base,
-            fx.rank_target,
-            gap_rank=fx.declared_gap_rank,
-        )
-    if fixture_id == "example2":
-        formula = ramified_place_target(
-            fx.rank_target,
-            fx.group.action_order,
-            fx.group.dimension,
-            fx.ell,
-        )
-        pinned = fx.pinned_ramified_count
-        assert pinned is not None
-        per_dim = fx.group.action_order * fx.ell * (fx.ell - 1)
-        implied, rem = divmod(pinned - fx.rank_target, per_dim)
-        diags = (
-            catalog.make(
-                "EX2-T-FORMULA",
-                f"pinned place count {pinned} differs from the formula value "
-                f"{formula} for the stated dimension {fx.group.dimension}; "
-                f"the published relation t = N + 2dℓ(ℓ−1) = "
-                f"{pinned} holds only with d = {implied}",
-            ),
-            catalog.make(
-                "EX2-DIM-INCONSISTENT",
-                f"the pinned count {pinned} matches dimension "
-                f"{implied if rem == 0 else 'none'} "
-                f"({fx.rank_target} + {per_dim} * {implied} = "
-                f"{fx.rank_target + per_dim * implied}), but the stated "
-                f"dimension is {fx.group.dimension}; the pinned data is "
-                f"reproduced as published, with no guessed repair",
-            ),
-        )
-        return build_tower_plan(
-            fx.ell,
-            fx.group,
-            fx.base,
-            fx.rank_target,
-            gap_rank=fx.declared_gap_rank,
-            ramified_target_override=pinned,
-            extra_diagnostics=diags,
-        )
-    if fixture_id == "example3":
-        base, checklist = bundled_cubic_base()
-        return build_tower_plan(
-            fx.ell,
-            fx.group,
-            base,
-            fx.rank_target,
-            checklist=checklist,
-            gap_rank=fx.declared_gap_rank,
-            primes_override=fx.pinned_primes,
-        )
-    raise KeyError(f"unknown fixture {fixture_id!r}")
+    checklist = None
+    if isinstance(fx.base, RelativeCubicBase):
+        checklist = bundled_cubic_base(fx.p)[1]
+    return build_tower_plan(
+        fx.ell,
+        fx.group,
+        fx.base,
+        fx.rank_target,
+        checklist=checklist,
+        gap_rank=fx.declared_gap_rank,
+        ramified_target_override=fx.pinned_ramified_count,
+        primes_override=fx.pinned_primes if fx.pins_primes else None,
+        extra_diagnostics=_pinned_count_diagnostics(fx),
+    )
+
+
+def _pinned_count_diagnostics(fx: Fixture) -> tuple[catalog.Diagnostic, ...]:
+    """EX2-T-FORMULA and EX2-DIM-INCONSISTENT for a pinned place count."""
+    pinned, n, dim = fx.pinned_ramified_count, fx.rank_target, fx.group.dimension
+    if pinned is None:
+        return ()
+    formula = ramified_place_target(n, fx.group.action_order, dim, fx.ell)
+    per_dim = (formula - n) // dim
+    implied, rem = divmod(pinned - n, per_dim)
+    return (
+        catalog.make(
+            "EX2-T-FORMULA",
+            f"pinned place count {pinned} differs from the formula value "
+            f"{formula} for the stated dimension {dim}; "
+            f"the published relation t = N + 2dℓ(ℓ−1) = "
+            f"{pinned} holds only with d = {implied}",
+        ),
+        catalog.make(
+            "EX2-DIM-INCONSISTENT",
+            f"the pinned count {pinned} matches dimension "
+            f"{implied if rem == 0 else 'none'} "
+            f"({n} + {per_dim} * {implied} = {n + per_dim * implied}), but the "
+            f"stated dimension is {dim}; the pinned data is "
+            f"reproduced as published, with no guessed repair",
+        ),
+    )

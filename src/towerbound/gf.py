@@ -538,8 +538,7 @@ def is_inert_in_relative_extension(
         raise DiscriminantDivisible(
             f"{q} divides the discriminant {disc} of the defining polynomial"
         )
-    # splitting_data has proven q prime; PrimeField(q) would prove it again.
-    Fq = object.__new__(PrimeField)
-    object.__setattr__(Fq, "q", q)
-    verdict = math.gcd(zpoly.degree(poly), sd.f) == 1 and is_irreducible(Fq, poly)
+    verdict = math.gcd(zpoly.degree(poly), sd.f) == 1 and is_irreducible(
+        PrimeField(q), poly
+    )
     return [verdict] * sd.g

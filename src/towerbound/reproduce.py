@@ -9,6 +9,7 @@ while stating exactly what differs; anything uncatalogued is a hard failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import arith, catalog, cyclotomic, gf
 from .bounds import BoundCertificate, build_certificate
@@ -17,7 +18,7 @@ from .fixtures import Fixture, build_plan, get_fixture
 from .report import check_line
 from .tower import RelativeCubicBase, TowerPlan, ValidationFailed
 
-__all__ = ["CheckResult", "ReproductionResult", "run_reproduction"]
+__all__ = ["CheckResult", "ReproductionResult", "run_reproduction", "factor_check"]
 
 PASS = "pass"
 WARN = "warning"
@@ -101,19 +102,19 @@ def run_reproduction(fixture_id: str, n_max: int = 4) -> ReproductionResult:
         )
     ]
 
-    if fixture_id in ("example1", "example2"):
-        checks.append(_check_enumerated_primes(fx, plan))
-    else:
+    if fx.pins_primes:
         checks.append(_check_prime_qualification(fx, plan))
         checks.append(_check_prime_minimality(fx, plan))
+    else:
+        checks.append(_check_enumerated_primes(fx, plan))
     checks.append(_check_kummer_element(fx, plan))
     if fx.pinned_ramified_count is not None:
-        checks.append(_check_ramified_count(fx, plan))
+        checks.append(_check_ramified_count(plan))
     if fx.factor_strings is not None:
         checks.append(_check_factorization(fx))
 
     certificate = build_certificate(plan, av=fx.av, n_max=n_max)
-    checks.append(_check_certificate(fx, plan))
+    checks.append(_check_certificate(plan))
 
     return ReproductionResult(
         fixture_id=fixture_id,
@@ -242,9 +243,9 @@ def _check_kummer_element(fx: Fixture, plan: TowerPlan) -> CheckResult:
                 "extra qualifying prime (see diagnostics)",
                 diagnostics=(diag,),
             )
-        if _valuations_all_one(pinned, plan.selected_primes) and _coprime_cofactor(
-            pinned, product, plan.selected_primes
-        ):
+        # The listed primes are distinct and divide the pinned value, so each
+        # divides it exactly once iff the cofactor is prime to all of them.
+        if all(ratio % q for q in plan.selected_primes):
             diag = catalog.make(
                 "EX3-ALPHA-COFACTOR",
                 f"the pinned value equals the product of the listed primes "
@@ -281,19 +282,7 @@ def _next_qualifying_prime(plan: TowerPlan) -> int:
     )
 
 
-def _valuations_all_one(pinned: int, primes: tuple[int, ...]) -> bool:
-    for q in primes:
-        if pinned % q != 0 or (pinned // q) % q == 0:
-            return False
-    return True
-
-
-def _coprime_cofactor(pinned: int, product: int, primes: tuple[int, ...]) -> bool:
-    cof = pinned // product
-    return all(cof % q != 0 for q in primes)
-
-
-def _check_ramified_count(fx: Fixture, plan: TowerPlan) -> CheckResult:
+def _check_ramified_count(plan: TowerPlan) -> CheckResult:
     # The catalogued diagnostics were attached when the plan was built;
     # here we just surface the comparison as a warning-status check.
     return CheckResult(
@@ -307,51 +296,73 @@ def _check_ramified_count(fx: Fixture, plan: TowerPlan) -> CheckResult:
 
 def _check_factorization(fx: Fixture) -> CheckResult:
     assert fx.factor_strings is not None and fx.factor_target is not None
-    base = fx.base
-    assert isinstance(base, RelativeCubicBase)
-    m = base.base_conductor
-    mod = cyclotomic.cyclotomic_polynomial(m)
-    factors = [cyclotomic.parse_cyclo_element(s, m) for s in fx.factor_strings]
-    norms = [f.norm() for f in factors]
-    product = cyclotomic.cyclo_mul(mod, factors)
-    match = cyclotomic.match_up_to_unit(product, fx.factor_target)
-    norm_note = (
-        f"each factor has norm {fx.factor_target}"
-        if all(n == fx.factor_target for n in norms)
-        else f"factor norms are {norms}"
+    target = fx.factor_target
+    data, unit = factor_check(
+        fx.base.cyclotomic_conductor, target, fx.factor_strings, note_norms=True
     )
-    if match is None:
-        return CheckResult(
-            "factorization",
+    count, note = len(data["factors"]), _norm_note(data["factor_norms"], target)
+    status, detail = {
+        "mismatch": (
             FAIL,
-            f"the {len(factors)} factors multiply to {product.render(False)}, "
-            f"which is not {fx.factor_target} up to a root of unity; {norm_note}",
-        )
-    sign, k = match
-    if (sign, k) == (1, 0):
-        return CheckResult(
-            "factorization",
-            PASS,
-            f"the {len(factors)} factors multiply to exactly "
-            f"{fx.factor_target}; {norm_note}",
-        )
-    unit = ("-" if sign < 0 else "") + (f"zeta_{m}^{k}" if k else "1")
-    diag = catalog.make(
-        "FACTOR-UNIT-DISCREPANCY",
-        f"the factors multiply to {product.render(False)}, which is "
-        f"{fx.factor_target} times the unit {unit} rather than "
-        f"{fx.factor_target} itself; {norm_note}",
-    )
-    return CheckResult(
-        "factorization",
-        WARN,
-        f"factor product matches {fx.factor_target} only up to the unit "
-        f"{unit} (see diagnostics)",
-        diagnostics=(diag,),
-    )
+            f"the {count} factors multiply to {data['product'].render(False)}, "
+            f"which is not {target} up to a root of unity; {note}",
+        ),
+        "exact": (PASS, f"the {count} factors multiply to exactly {target}; {note}"),
+        "unit": (
+            WARN,
+            f"factor product matches {target} only up to the unit {unit} "
+            f"(see diagnostics)",
+        ),
+    }[data["status"]]
+    return CheckResult("factorization", status, detail, tuple(data["diagnostics"]))
 
 
-def _check_certificate(fx: Fixture, plan: TowerPlan) -> CheckResult:
+def factor_check(
+    m: int, target: int, factor_strings: Sequence[str], note_norms: bool = False
+) -> tuple[dict, str | None]:
+    """Multiply zeta-notation factors in Q(zeta_m) and match the product to target.
+
+    Returns the ``factor-check`` document data - conductor, target, factors,
+    factor_norms, product, status (exact, unit or mismatch) and diagnostics -
+    with the unit, spelled -zeta_m^k, when the match needs one.  A unit match
+    carries FACTOR-UNIT-DISCREPANCY, whose message ends in the factor norms
+    when ``note_norms`` is set.
+    """
+    factors = [cyclotomic.parse_cyclo_element(s, m) for s in factor_strings]
+    product = cyclotomic.cyclo_mul(cyclotomic.cyclotomic_polynomial(m), factors)
+    norms = [f.norm() for f in factors]
+    match = cyclotomic.match_up_to_unit(product, target)
+    status = "mismatch" if match is None else "exact" if match == (1, 0) else "unit"
+    unit, diags = None, []
+    if status == "unit":
+        sign, k = match
+        unit = ("-" if sign < 0 else "") + (f"zeta_{m}^{k}" if k else "1")
+        note = f"; {_norm_note(norms, target)}" if note_norms else ""
+        diags.append(
+            catalog.make(
+                "FACTOR-UNIT-DISCREPANCY",
+                f"the factors multiply to {product.render(False)}, which is "
+                f"{target} times the unit {unit} rather than {target} itself{note}",
+            )
+        )
+    return {
+        "conductor": m,
+        "target": target,
+        "factors": factors,
+        "factor_norms": norms,
+        "product": product,
+        "status": status,
+        "diagnostics": diags,
+    }, unit
+
+
+def _norm_note(norms: list[int], target: int) -> str:
+    if all(n == target for n in norms):
+        return f"each factor has norm {target}"
+    return f"factor norms are {norms}"
+
+
+def _check_certificate(plan: TowerPlan) -> CheckResult:
     net = plan.ramified_target - plan.degree_lower(0)
     target = plan.effective_rank_target
     if net >= target:

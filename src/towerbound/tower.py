@@ -533,11 +533,14 @@ class TowerPlan:
         return self.ramified_target * self.p**n
 
     def degree_lower(self, n: int) -> int:
-        """Degree of layer n of the Kummer tower over the rationals."""
+        """Degree of layer n of the Kummer tower over the rationals.
+
+        At layer 0 it is the summand :func:`ramified_place_target` adds to
+        the rank target, action_order * ell * (ell - 1) * dimension.
+        """
         if n < 0:
             raise ValueError("layer must be >= 0")
-        g = self.group
-        return g.action_order * self.ell * (self.ell - 1) * g.dimension * self.p**n
+        return (self.ramified_target_formula - self.effective_rank_target) * self.p**n
 
     @property
     def min_characteristic(self) -> int:

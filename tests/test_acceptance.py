@@ -169,7 +169,8 @@ def test_ex1_extra_prime_diagnostic_only_for_the_next_qualifying_prime():
     # 443 also qualifies (prime, 443 = 2 mod 3) but comes after 431, so an α
     # carrying it must not be reported as "the next qualifying prime after
     # 419"; nor may a qualifying prime below 419 (2) or the excluded tower
-    # prime (3).
+    # prime (3).  A listed prime (2) squares a factor of α and fails; a
+    # cofactor prime to every listed prime (3, 443) is only a warning.
     fx = get_fixture("example1")
     plan = build_plan("example1")
     product = plan.alpha
@@ -180,13 +181,17 @@ def test_ex1_extra_prime_diagnostic_only_for_the_next_qualifying_prime():
         )
         codes = [d.code for d in check.diagnostics]
         if extra == 431:
-            assert codes == ["EX1-ALPHA-EXTRA-PRIME"]
+            assert (check.status, codes) == ("warning", ["EX1-ALPHA-EXTRA-PRIME"])
             assert "431, which is the next qualifying prime after 419" in (
                 check.diagnostics[0].message
             )
         else:
             assert "EX1-ALPHA-EXTRA-PRIME" not in codes, extra
             assert all("next qualifying" not in d.message for d in check.diagnostics)
+        if extra == 2:
+            assert (check.status, codes) == ("fail", []), extra
+        elif extra in (3, 443):
+            assert (check.status, codes) == ("warning", ["EX3-ALPHA-COFACTOR"]), extra
 
 
 def test_c03_example2_list_and_element():

@@ -350,6 +350,9 @@ def test_primes_above_split_case():
 def test_primes_above_requires_total_split():
     with pytest.raises(NotTotallySplit):
         primes_above(2, 7)
+    for q, m in ((7, 7), (3, 9)):
+        with pytest.raises(RamifiedPrime):
+            primes_above(q, m)
 
 
 def test_match_up_to_unit():
