@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress, filterfalse, islice
+from itertools import count as count_from
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -213,11 +214,19 @@ def _base_primes() -> tuple[int, ...]:
     return tuple(compress(range(3, top + 1), flags[3:]))
 
 
-def _sieved_primes(lo: int) -> Iterator[int]:
-    """Odd primes from the odd number lo >= 3 up to _SIEVE_LIMIT, ascending."""
+def _prime_runs(start: int, ceiling: float = math.inf) -> Iterator[Iterator[int]]:
+    """The primes in [start, ceiling], ascending, as a run per sieve segment.
+
+    2 comes first on its own, then the odd primes below _SIEVE_LIMIT one
+    segment at a time, then one run of Miller-Rabin survivors above it.
+    """
+    if start <= 2 <= ceiling:
+        yield iter((2,))
+    lo = max(3, start | 1)
+    stop = min(ceiling + 1, _SIEVE_LIMIT)
     size = _FIRST_SEGMENT_BYTES
-    while lo < _SIEVE_LIMIT:
-        hi = min(lo + 2 * size, _SIEVE_LIMIT)  # segment: odd n in [lo, hi)
+    while lo < stop:
+        hi = min(lo + 2 * size, stop)  # segment: odd n in [lo, hi)
         seg = bytearray([1]) * ((hi - lo + 1) // 2)
         for p in _base_primes():
             if p * p >= hi:
@@ -225,11 +234,14 @@ def _sieved_primes(lo: int) -> Iterator[int]:
             first = max(p * p, -(-lo // p) * p)
             if first % 2 == 0:
                 first += p
-            start = (first - lo) // 2
-            seg[start::p] = bytes(len(range(start, len(seg), p)))
-        yield from compress(range(lo, hi, 2), seg)
+            offset = (first - lo) // 2
+            seg[offset::p] = bytes(len(range(offset, len(seg), p)))
+        yield compress(range(lo, hi, 2), seg)
         lo = hi
         size = min(2 * size, _SEGMENT_BYTES)
+    lo = max(lo, _SIEVE_LIMIT | 1)
+    odd = count_from(lo, 2) if ceiling == math.inf else range(lo, ceiling + 1, 2)
+    yield filter(is_prime, odd)
 
 
 def primes(start: int = 2) -> Iterator[int]:
@@ -238,19 +250,7 @@ def primes(start: int = 2) -> Iterator[int]:
     Below ``DEFAULT_SEARCH_CEILING`` they come from a segmented sieve of
     Eratosthenes over the odd numbers; above it, from Miller-Rabin.
     """
-    n = max(2, start)
-    if n == 2:
-        yield 2
-        n = 3
-    if n % 2 == 0:
-        n += 1
-    if n < _SIEVE_LIMIT:
-        yield from _sieved_primes(n)
-        n = _SIEVE_LIMIT | 1
-    while True:
-        if is_prime(n):
-            yield n
-        n += 2
+    return chain.from_iterable(_prime_runs(start))
 
 
 def primes_ascending(
@@ -258,26 +258,31 @@ def primes_ascending(
     predicate: Callable[[int], bool] | None = None,
     exclude: Iterable[int] = (),
     ceiling: int = DEFAULT_SEARCH_CEILING,
+    *,
+    classes: tuple[int, frozenset[int]] | None = None,
 ) -> list[int]:
     """First ``count`` primes, in ascending order, that satisfy ``predicate``.
 
     ``exclude`` lists primes to skip even if they satisfy the predicate.
+    ``classes = (N, residues)`` keeps only the primes q with q mod N in
+    ``residues``, tested a whole sieve segment at a time before the predicate.
     The search stops at ``ceiling`` and raises :class:`SearchExhausted` if the
-    quota was not met, so a bad predicate cannot loop forever.
+    quota was not met, so a bad predicate cannot loop forever; the predicate
+    is never called past the quota.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    skip = frozenset(exclude)
+    skip = frozenset(exclude).__contains__
     found: list[int] = []
-    stream = primes()
+    runs = _prime_runs(2, ceiling)
     while len(found) < count:  # the quota is tested before the ceiling
-        q = next(stream)
-        if q > ceiling:
+        run = next(runs, None)
+        if run is None:
             raise SearchExhausted(
                 f"found only {len(found)} of {count} primes below {ceiling}"
             )
-        if q in skip:
-            continue
-        if predicate is None or predicate(q):
-            found.append(q)
+        if classes is not None:
+            modulus, residues = classes
+            run = (q for q in run if q % modulus in residues)
+        found += islice(filter(predicate, filterfalse(skip, run)), count - len(found))
     return found

@@ -41,6 +41,7 @@ from .tower import (
     GroupSpec,
     ValidationFailed,
     build_tower_plan,
+    select_primes,
 )
 
 __all__ = ["main", "build_parser", "MAX_CONDUCTOR"]
@@ -281,11 +282,8 @@ def cmd_inert_primes(args: argparse.Namespace) -> tuple[int, str, dict]:
             f"(Z/{args.conductor})* is not cyclic, so no prime is inert in "
             f"Q(zeta_{args.conductor})"
         )
-    found = arith.primes_ascending(
-        args.count,
-        predicate=CyclotomicBase(args.conductor).prime_qualifies,
-        exclude=set(args.exclude),
-        ceiling=args.ceiling,
+    found = select_primes(
+        CyclotomicBase(args.conductor), args.count, args.exclude, args.ceiling
     )
     return 0, "inert-primes", {
         "conductor": args.conductor,

@@ -9,6 +9,7 @@ diagnostic catalogue instead of silently repairing them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import catalog, gf, zpoly
@@ -197,13 +198,14 @@ def get_fixture(fixture_id: str) -> Fixture:
         ) from None
 
 
+@functools.cache
 def bundled_cubic_base(p: int) -> tuple[RelativeCubicBase, AssumptionChecklist]:
     """The relative cubic base of example3 with its hypothesis checklist.
 
     The checklist is discharged for example3's tower prime, the only p
     accepted (ValueError otherwise).  Three of its four items are computed
-    on the spot; the class-group item rests on the standard tables and says
-    so in its provenance.
+    on first use and cached; the class-group item rests on the standard
+    tables and says so in its provenance.
     """
     if p != _EX3_P:
         raise ValueError(f"the bundled cubic base assumes p = {_EX3_P}")

@@ -9,9 +9,11 @@ formatters) and any module may import it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
-from typing import Any
+from functools import cache
+from json import JSONEncoder
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Any, Callable
 
 from .arith import format_decimal
 from .zpoly import format_poly
@@ -43,9 +45,41 @@ def json_safe_int(v: int) -> int | str:
 def stable_json(doc: Any) -> str:
     """Canonical JSON: sorted keys, two-space indent, ASCII only, newline end.
 
-    Byte-identical output for equal documents is part of the CLI contract.
+    For str-keyed documents the bytes are those of ``json.dumps(doc,
+    sort_keys=True, indent=2, ensure_ascii=True)``, and byte-identical output
+    for equal documents is part of the CLI contract.  ``json.dumps`` runs its pure-Python encoder
+    whenever it indents, so containers are laid out here and every container
+    of scalars goes to the C encoder whole.
     """
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    return _indented(doc, "\n") + "\n"
+
+
+# Items of exactly these types make a container the C encoder writes whole.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@cache
+def _flat_encoder(pad: str) -> Callable:
+    # Encodes a scalar or a container of scalars, its items separated by pad.
+    return c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii,
+                          None, ": ", "," + pad, True, False, True)
+
+
+def _indented(o: Any, pad: str) -> str:
+    """``o`` as indented JSON, its closing bracket after ``pad`` (newline, indent)."""
+    inner = pad + "  "
+    is_dict = isinstance(o, dict)
+    items = o.values() if is_dict else o if isinstance(o, (list, tuple)) else ()
+    if _SCALARS.issuperset(map(type, items)):
+        text = "".join(_flat_encoder(inner)(o, 0))
+        return text[0] + inner + text[1:-1] + pad + text[-1] if items else text
+    if is_dict:
+        parts = (encode_basestring_ascii(k) + ": " + _indented(v, inner)
+                 for k, v in sorted(o.items()))
+    else:
+        parts = (_indented(v, inner) for v in o)
+    brackets = "{}" if is_dict else "[]"
+    return brackets[0] + inner + ("," + inner).join(parts) + pad + brackets[1]
 
 
 def wrap_document(kind: str, body: dict) -> dict:

@@ -16,7 +16,7 @@ from .bounds import BoundCertificate, build_certificate
 from .catalog import Diagnostic
 from .fixtures import Fixture, build_plan, get_fixture
 from .report import check_line
-from .tower import RelativeCubicBase, TowerPlan, ValidationFailed
+from .tower import RelativeCubicBase, TowerPlan, ValidationFailed, select_primes
 
 __all__ = ["CheckResult", "ReproductionResult", "run_reproduction", "factor_check"]
 
@@ -181,12 +181,7 @@ def _check_prime_qualification(fx: Fixture, plan: TowerPlan) -> CheckResult:
 
 def _check_prime_minimality(fx: Fixture, plan: TowerPlan) -> CheckResult:
     base = fx.base
-    minimal = arith.primes_ascending(
-        len(fx.pinned_primes),
-        predicate=base.prime_qualifies,
-        exclude={fx.group.p},
-        ceiling=100_000,
-    )
+    minimal = select_primes(base, len(fx.pinned_primes), {fx.group.p}, 100_000)
     if tuple(minimal) == fx.pinned_primes:
         return CheckResult(
             "prime-minimality",

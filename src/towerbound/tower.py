@@ -33,6 +33,7 @@ __all__ = [
     "ramified_place_target",
     "CyclotomicBase",
     "RelativeCubicBase",
+    "select_primes",
     "PlaceRef",
     "GapInflation",
     "TowerPlan",
@@ -352,16 +353,40 @@ class CyclotomicBase:
                 return False
         return cyclotomic.is_inert(p, c)
 
+    @property
+    def classes(self) -> tuple[int, frozenset[int]]:
+        """(N, the classes mod N of the qualifying primes); see prime_qualifies."""
+        return _generator_classes(self.conductor)
+
     def prime_qualifies(self, q: int) -> bool:
         """Whether the prime ``q`` is inert in Q(zeta_c), as the selection wants.
 
         ``q`` must already be prime.  It is inert iff it does not divide c and
-        generates (Z/c)*; over c <= 2 (the rationals) every prime counts.
+        generates (Z/c)* (Washington, Introduction to Cyclotomic Fields,
+        Thm 2.13), so it qualifies iff q mod c is one of the generators; over
+        c <= 2 (the rationals) every prime counts.
         """
-        c = self.conductor
-        if c <= 2:
-            return True
-        return c % q != 0 and arith.mult_order(q, c) == arith.euler_phi(c)
+        n, residues = self.classes
+        return q % n in residues
+
+
+@functools.cache
+def _generator_classes(c: int) -> tuple[int, frozenset[int]]:
+    # The generators of (Z/c)* are g^k for one generator g and k prime to
+    # phi(c): O(phi(c)) products, and an empty set when the group is not cyclic.
+    if c <= 2:
+        return 1, frozenset({0})
+    if not cyclotomic.unit_group_is_cyclic(c):
+        return c, frozenset()
+    phi = arith.euler_phi(c)
+    g = next(a for a in range(2, c)
+             if math.gcd(a, c) == 1 and arith.mult_order(a, c) == phi)
+    powers, x = [], 1
+    for k in range(phi):
+        if math.gcd(k, phi) == 1:
+            powers.append(x)
+        x = x * g % c
+    return c, frozenset(powers)
 
 
 @dataclass(frozen=True)
@@ -437,9 +462,9 @@ class RelativeCubicBase:
         return True
 
     @functools.cached_property
-    def _qualifying_classes(self) -> tuple[int, frozenset[int]] | None:
-        # (N, the classes mod N of the qualifying primes) when the cubic is
-        # cyclic of prime conductor f; None sends prime_qualifies to gf.
+    def classes(self) -> tuple[int, frozenset[int]] | None:
+        """(N, the classes mod N of the qualifying primes) when the cubic is
+        cyclic of prime conductor f; None sends prime_qualifies to gf."""
         if not self._irreducible_over_q():
             return None
         disc = zpoly.discriminant(list(self.poly))
@@ -465,7 +490,7 @@ class RelativeCubicBase:
         qualifies iff its class mod cf (mod f over c <= 2) is in a set built
         once per base.  Other cubics take the Rabin test over F_q.
         """
-        table = self._qualifying_classes
+        table = self.classes
         if table is not None:
             return q % table[0] in table[1]
         c = self.base_conductor
@@ -479,6 +504,22 @@ class RelativeCubicBase:
 
 
 BaseField = Union[CyclotomicBase, RelativeCubicBase]
+
+
+def select_primes(
+    base: BaseField,
+    count: int,
+    exclude: Iterable[int] = (),
+    ceiling: int = arith.DEFAULT_SEARCH_CEILING,
+) -> list[int]:
+    """The first ``count`` primes that qualify for ``base``, ascending.
+
+    A base with a class table is walked by residue class a sieve segment at a
+    time; any other base tests each prime until the quota is met.
+    """
+    table = base.classes
+    predicate = None if table is not None else base.prime_qualifies
+    return arith.primes_ascending(count, predicate, exclude, ceiling, classes=table)
 
 
 @dataclass(frozen=True)
@@ -663,11 +704,7 @@ def build_tower_plan(
             )
         )
     else:
-        primes = arith.primes_ascending(
-            need,
-            predicate=base.prime_qualifies,
-            exclude={group.p},
-        )
+        primes = select_primes(base, need, exclude={group.p})
     report = ValidationReport(tuple(post_items))
     if not report.passed:
         raise ValidationFailed(report)

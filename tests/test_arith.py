@@ -86,16 +86,37 @@ def test_primes_ascending_plain():
     assert arith.primes_ascending(0) == []
 
 
+# The class route: (N, residues) keeps the primes q with q mod N in residues.
+ONE_MOD_4 = (4, frozenset({1}))
+EVERY_PRIME = (1, frozenset({0}))
+
+
 def test_primes_ascending_predicate_and_exclude():
     got = arith.primes_ascending(4, predicate=lambda q: q % 4 == 1)
     assert got == [5, 13, 17, 29]
+    assert arith.primes_ascending(4, classes=ONE_MOD_4) == got
     got = arith.primes_ascending(3, exclude={3, 7})
     assert got == [2, 5, 11]
+    assert arith.primes_ascending(3, exclude={3, 7}, classes=EVERY_PRIME) == got
+    got = arith.primes_ascending(3, exclude={5, 17}, classes=ONE_MOD_4)
+    assert got == [13, 29, 37]
+    # The predicate sees each prime in turn, never an excluded one, never
+    # one past the quota, and only the primes of the classes when given.
+    seen = []
+    pred = lambda q: seen.append(q) or q % 3 == 1  # noqa: E731
+    assert arith.primes_ascending(3, pred, exclude={7}) == [13, 19, 31]
+    assert seen == [2, 3, 5, 11, 13, 17, 19, 23, 29, 31]
+    seen.clear()
+    assert arith.primes_ascending(3, pred, {13}, classes=ONE_MOD_4) == [37, 61, 73]
+    assert seen == [5, 17, 29, 37, 41, 53, 61, 73]
 
 
 def test_primes_ascending_exhaustion():
     with pytest.raises(arith.SearchExhausted):
         arith.primes_ascending(1, predicate=lambda q: False, ceiling=10_000)
+    with pytest.raises(arith.SearchExhausted) as exc:
+        arith.primes_ascending(3, classes=(5, frozenset()), ceiling=10_000)
+    assert str(exc.value) == "found only 0 of 3 primes below 10000"
 
 
 def _odd_trial_division_primes(lo, hi):
@@ -143,22 +164,26 @@ def test_primes_ascending_exhaustion_at_the_ceiling(q):
     # With the ceiling just below a prime the search gives up before it; at
     # the prime itself the prime is found.  Both sides of the sieve limit.
     wanted = lambda n: n >= q  # noqa: E731
-    with pytest.raises(arith.SearchExhausted):
-        arith.primes_ascending(1, predicate=wanted, ceiling=q - 1)
-    assert arith.primes_ascending(1, predicate=wanted, ceiling=q) == [q]
-    assert arith.primes_ascending(1, predicate=wanted, ceiling=q + 1) == [q]
+    only_q = (q, frozenset({0}))
+    for route in ({"predicate": wanted}, {"classes": only_q}):
+        with pytest.raises(arith.SearchExhausted):
+            arith.primes_ascending(1, ceiling=q - 1, **route)
+        assert arith.primes_ascending(1, ceiling=q, **route) == [q]
+        assert arith.primes_ascending(1, ceiling=q + 1, **route) == [q]
 
 
 @pytest.mark.parametrize("ceiling", [0, 1, 2])
 def test_primes_ascending_zero_count_never_exhausts(ceiling):
     # A quota of zero is met before the ceiling is looked at; a quota of one
     # needs the prime 2 below the ceiling.
-    assert arith.primes_ascending(0, ceiling=ceiling) == []
-    if ceiling < 2:
-        with pytest.raises(arith.SearchExhausted):
-            arith.primes_ascending(1, ceiling=ceiling)
-    else:
-        assert arith.primes_ascending(1, ceiling=ceiling) == [2]
+    for classes in (None, EVERY_PRIME, (5, frozenset()), (2, frozenset({0}))):
+        assert arith.primes_ascending(0, ceiling=ceiling, classes=classes) == []
+    for classes in (None, EVERY_PRIME, (2, frozenset({0}))):
+        if ceiling < 2:
+            with pytest.raises(arith.SearchExhausted):
+                arith.primes_ascending(1, ceiling=ceiling, classes=classes)
+        else:
+            assert arith.primes_ascending(1, ceiling=ceiling, classes=classes) == [2]
 
 
 def test_format_decimal_small_values():

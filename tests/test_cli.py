@@ -1,7 +1,12 @@
 import json
 import math
+import random
+import shlex
 import time
 
+from test_golden import GOLDEN
+from test_golden import SIX_FACTORS as QUOTED_SIX_FACTORS
+from towerbound import report
 from towerbound.fixtures import get_fixture
 
 SIX_FACTORS = get_fixture("example3").factor_strings
@@ -294,3 +299,67 @@ def test_inert_primes_none_when_unit_group_not_cyclic(run_cli):
     code, out, err = run_cli("inert-primes", "8", "--count", "0", "--json")
     assert (code, err) == (0, "")
     assert json.loads(out)["primes"] == []
+
+
+def _reference_json(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+def test_stable_json_matches_json_dumps_on_every_golden_document(run_cli, monkeypatch):
+    docs = []
+    writer = report.stable_json
+
+    def recording(doc):
+        docs.append(doc)
+        return writer(doc)
+
+    monkeypatch.setattr(report, "stable_json", recording)
+    for argv, *_ in GOLDEN:
+        run_cli(*shlex.split(argv.format(six=QUOTED_SIX_FACTORS)))
+    # 18 of the 21 --json argv emit a document; the other three fail first
+    assert len(docs) == 18
+    assert {doc["kind"] for doc in docs} == set(report._KINDS)
+    for doc in docs:
+        assert writer(doc) == _reference_json(doc)
+
+
+_TEXT = "az AZ_09\"\\/\x00\x01\x1f\x7f\n\t\u00e9\u03b6\u2028\U0001f600"
+
+
+class _Int(int):
+    """Scalar subclasses take the writer's item-by-item path."""
+
+
+class _Str(str):
+    pass
+
+
+def _random_doc(rng, depth=0):
+    kind = rng.randrange(10 if depth < 5 else 6)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return rng.choice([0, 1, -1, 2**53, -(2**53), 2**53 + 1, 10**40, -(10**30),
+                           0.5, -0.0, _Int(7), _Str("\u00e9")])
+    if kind == 3:
+        return rng.randrange(-10**6, 10**6)
+    if kind == 4:
+        return "".join(rng.choice(_TEXT) for _ in range(rng.randrange(6)))
+    if kind == 5:
+        return rng.choice([[], {}, (), [[]], {"": {}}, [{}, []]])
+    items = [_random_doc(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    return {"".join(rng.choice(_TEXT) for _ in range(rng.randrange(4))): v
+            for v in items}
+
+
+def test_stable_json_matches_json_dumps_on_random_documents():
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        doc = _random_doc(rng)
+        assert report.stable_json(doc) == _reference_json(doc), doc

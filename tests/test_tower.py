@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from towerbound import cyclotomic, report
+from towerbound import arith, cyclotomic, report
 from towerbound.tower import (
     AssumptionChecklist,
     ChecklistItem,
@@ -21,6 +21,7 @@ from towerbound.tower import (
     build_tower_plan,
     check_assumption,
     ramified_place_target,
+    select_primes,
     validate_group,
 )
 
@@ -290,16 +291,57 @@ def test_bundled_cubic_qualifies_by_residue_class_below_a_million():
     assert accepted == 8740
 
 
+def _inert_or_false(q, m):
+    try:
+        return cyclotomic.is_inert(q, m)
+    except cyclotomic.RamifiedPrime:
+        return False
+
+
+def _prime_flags(limit):
+    """Sieve of Eratosthenes: flags[n] == 1 iff n < limit is prime."""
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for d in range(2, math.isqrt(limit - 1) + 1):
+        if flags[d]:
+            flags[d * d::d] = bytes(len(range(d * d, limit, d)))
+    return flags
+
+
 def test_cyclotomic_prime_qualifies_matches_splitting_data():
     # Naive oracle: the route through splitting_data, which proves q prime
     # again and raises for q | m; over m <= 2 it calls every prime inert.
+    # Below 61 every conductor, then a sample up to the cap of 500: prime
+    # powers, their doubles, and non-cyclic groups (64, 105, 400, 484, 500).
     primes = [q for q in range(2, 20_000)
               if all(q % d for d in range(2, math.isqrt(q) + 1))]
-    for m in range(1, 61):
+    sample = (61, 64, 81, 98, 105, 121, 125, 127, 162, 169, 243, 250, 256,
+              289, 343, 361, 386, 400, 431, 484, 486, 499, 500)
+    for m in (*range(1, 61), *sample):
         base = CyclotomicBase(m)
-        for q in primes:
-            try:
-                want = cyclotomic.is_inert(q, m)
-            except cyclotomic.RamifiedPrime:
-                want = False
-            assert base.prime_qualifies(q) == want, (m, q)
+        for q in primes if m < 61 else (q for q in primes if q < 5000):
+            assert base.prime_qualifies(q) == _inert_or_false(q, m), (m, q)
+    assert CyclotomicBase(500).classes[1] == frozenset()
+
+
+def test_class_walk_matches_is_inert_at_the_sieve_segment_edges():
+    # The walk filters whole sieve segments by class.  Starting at 3, the
+    # segments end at these edges; the k-th qualifying prime is taken as the
+    # last one before each edge and as the first one after it, and the
+    # ceiling is put on it and just below it.
+    flags = _prime_flags(300_000)
+    edges = (2051, 6147, 14339, 30723, 63491, 129027, 260099)
+    for c in (3, 9, 499):
+        base = CyclotomicBase(c)
+        oracle = [q for q in range(300_000) if flags[q] and _inert_or_false(q, c)]
+        for edge in edges:
+            below = sum(q < edge for q in oracle)
+            for k in (below, below + 1):
+                want = oracle[:k]
+                assert select_primes(base, k) == want, (c, k)
+                assert select_primes(base, k, ceiling=want[-1]) == want, (c, k)
+                with pytest.raises(arith.SearchExhausted) as exc:
+                    select_primes(base, k, ceiling=want[-1] - 1)
+                assert str(exc.value) == (
+                    f"found only {k - 1} of {k} primes below {want[-1] - 1}"
+                )
