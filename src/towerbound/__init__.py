@@ -16,8 +16,6 @@ from .bounds import (
     FiniteAbelianGroup,
     ambiguous_lower,
     build_certificate,
-    class_gap_term,
-    class_rank_lower,
     ell_rank,
     fine_selmer_lower,
 )
@@ -82,8 +80,6 @@ __all__ = [
     "ell_rank",
     "AbelianVarietyDesc",
     "ambiguous_lower",
-    "class_rank_lower",
-    "class_gap_term",
     "fine_selmer_lower",
     "BoundCertificate",
     "build_certificate",

@@ -25,8 +25,6 @@ __all__ = [
     "ell_rank",
     "AbelianVarietyDesc",
     "ambiguous_lower",
-    "class_rank_lower",
-    "class_gap_term",
     "FineSelmerBound",
     "fine_selmer_lower",
     "CertificateRow",
@@ -106,23 +104,6 @@ def ambiguous_lower(ramified_count: int, layer_degree: int) -> int:
     return max(ramified_count - layer_degree, 0)
 
 
-def class_rank_lower(plan: TowerPlan, n: int) -> int:
-    """Certified lower bound for the ell-rank of the class group at layer n."""
-    return ambiguous_lower(plan.ramified_lower(n), plan.degree_lower(n))
-
-
-def class_gap_term(gap_rank: int, ell: int, n: int) -> int:
-    """Size of the comparison gap between the two class-group variants.
-
-    2 * gap_rank * ell^n at layer n - note the base is the Kummer prime, not
-    the tower prime, following the printed convention (see the catalogued
-    SCLASS-GAP-BASE warning).
-    """
-    if gap_rank < 0 or n < 0:
-        raise ValueError("need gap_rank >= 0 and n >= 0")
-    return 2 * gap_rank * ell**n
-
-
 class FineSelmerBound(NamedTuple):
     """Fine-Selmer lower bounds at one layer: as claimed, and with margins."""
 
@@ -133,15 +114,14 @@ class FineSelmerBound(NamedTuple):
 def fine_selmer_lower(
     plan: TowerPlan,
     av: AbelianVarietyDesc,
-    gap_rank: int,
     n: int,
 ) -> FineSelmerBound:
     """Fine-Selmer rank lower bounds at layer n for the given abelian variety.
 
     Preconditions: the plan must have been built with a declared gap rank
-    (:class:`PlanNotInflated` otherwise) matching ``gap_rank``, and the
-    variety must have a rational torsion point of order ell
-    (:class:`TorsionHypothesisUnmet` otherwise).
+    (:class:`PlanNotInflated` otherwise), and the variety must have a
+    rational torsion point of order ell (:class:`TorsionHypothesisUnmet`
+    otherwise).
 
     The claimed column is fine_rank_target * min(ell, p)^n, reading the chain
     the way the worked examples do; the conservative column additionally
@@ -153,11 +133,6 @@ def fine_selmer_lower(
     if plan.gap_inflation is None:
         raise PlanNotInflated(
             "plan was built without a declared gap rank; rebuild with gap_rank set"
-        )
-    if gap_rank != plan.gap_inflation.gap_rank:
-        raise ValueError(
-            f"gap rank {gap_rank} does not match the plan's declared "
-            f"{plan.gap_inflation.gap_rank}"
         )
     if not av.torsion_at_kummer_prime:
         raise TorsionHypothesisUnmet(
@@ -212,14 +187,13 @@ class BoundCertificate:
 def build_certificate(
     plan: TowerPlan,
     av: AbelianVarietyDesc | None = None,
-    gap_rank: int | None = None,
     n_max: int = 4,
 ) -> BoundCertificate:
     """Assemble the per-layer certificate for a plan.
 
     Class-group columns are always present.  Fine-Selmer columns appear when
     an abelian variety is supplied, which requires the plan to carry a
-    declared gap rank; ``gap_rank`` defaults to the plan's declared value.
+    declared gap rank; the certificate states that rank.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -250,14 +224,14 @@ def build_certificate(
     ]
     diagnostics: list[Diagnostic] = list(plan.diagnostics)
 
+    gap_rank: int | None = None
     fine = av is not None
     if fine:
         if plan.gap_inflation is None:
             raise PlanNotInflated(
                 "plan was built without a declared gap rank; rebuild with gap_rank set"
             )
-        if gap_rank is None:
-            gap_rank = plan.gap_inflation.gap_rank
+        gap_rank = plan.gap_inflation.gap_rank
         q = plan.min_characteristic
         n_fine = plan.gap_inflation.fine_rank_target
         trace.append(
@@ -324,8 +298,8 @@ def build_certificate(
         amb = ambiguous_lower(ram, deg)
         claimed = conservative = None
         if fine:
-            assert av is not None and gap_rank is not None
-            claimed, conservative = fine_selmer_lower(plan, av, gap_rank, n)
+            assert av is not None
+            claimed, conservative = fine_selmer_lower(plan, av, n)
         rows.append(
             CertificateRow(
                 layer=n,
@@ -341,7 +315,7 @@ def build_certificate(
     return BoundCertificate(
         plan=plan,
         av=av,
-        gap_rank=gap_rank if fine else None,
+        gap_rank=gap_rank,
         n_max=n_max,
         rows=tuple(rows),
         trace=tuple(trace),

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from . import arith, cyclotomic, gf, zpoly
+from . import arith, cyclotomic, zpoly
 from .catalog import Diagnostic
 
 __all__ = [
@@ -432,9 +432,10 @@ class RelativeCubicBase:
                 f"{group.action_order}",
             ),
             CheckItem(
-                "base-cubic-irreducible",
-                self._irreducible_over_q(),
-                "the cubic must have no rational root",
+                "base-cubic-cyclic",
+                bool(self.classes[1]),
+                "the cubic must be irreducible with discriminant f^2 for a "
+                "prime f = 1 (mod 3) prime to the conductor",
             ),
             CheckItem(
                 "base-supplies-p-roots",
@@ -462,15 +463,18 @@ class RelativeCubicBase:
         return True
 
     @functools.cached_property
-    def classes(self) -> tuple[int, frozenset[int]] | None:
-        """(N, the classes mod N of the qualifying primes) when the cubic is
-        cyclic of prime conductor f; None sends prime_qualifies to gf."""
+    def classes(self) -> tuple[int, frozenset[int]]:
+        """(N, the classes mod N of the qualifying primes); see prime_qualifies.
+
+        The set is empty unless the cubic is irreducible with discriminant
+        f^2 for a prime f = 1 (mod 3) that does not divide the conductor.
+        """
         if not self._irreducible_over_q():
-            return None
+            return 1, frozenset()
         disc = zpoly.discriminant(list(self.poly))
         f = math.isqrt(max(disc, 0))
         if f * f != disc or f % 3 != 1 or not arith.is_prime(f):
-            return None
+            return 1, frozenset()
         step = self.base_conductor if self.base_conductor > 2 else 1
         n = step * f
         return n, frozenset(
@@ -487,20 +491,12 @@ class RelativeCubicBase:
         conductor-discriminant formula (Washington, Introduction to Cyclotomic
         Fields, Thm 3.11) it cuts out the cubic subfield of Q(zeta_f).  By the
         Artin map, q != f stays inert there iff q is not a cube mod f, so q
-        qualifies iff its class mod cf (mod f over c <= 2) is in a set built
-        once per base.  Other cubics take the Rabin test over F_q.
+        qualifies iff its class mod cf (mod f over c <= 2) is in the set
+        :attr:`classes` builds once per base.  Any other cubic fails the
+        ``base-cubic-cyclic`` validation item, and no prime qualifies for it.
         """
-        table = self.classes
-        if table is not None:
-            return q % table[0] in table[1]
-        c = self.base_conductor
-        if c > 2 and q % c != 1:
-            return False
-        try:
-            verdicts = gf.is_inert_in_relative_extension(list(self.poly), q, c)
-        except gf.DiscriminantDivisible:
-            return False
-        return all(verdicts)
+        n, residues = self.classes
+        return q % n in residues
 
 
 BaseField = Union[CyclotomicBase, RelativeCubicBase]
@@ -514,12 +510,10 @@ def select_primes(
 ) -> list[int]:
     """The first ``count`` primes that qualify for ``base``, ascending.
 
-    A base with a class table is walked by residue class a sieve segment at a
-    time; any other base tests each prime until the quota is met.
+    Every base is walked by its residue-class table, a sieve segment at a
+    time; ``gf``'s Rabin test is the independent check of the cubic tables.
     """
-    table = base.classes
-    predicate = None if table is not None else base.prime_qualifies
-    return arith.primes_ascending(count, predicate, exclude, ceiling, classes=table)
+    return arith.primes_ascending(count, None, exclude, ceiling, classes=base.classes)
 
 
 @dataclass(frozen=True)

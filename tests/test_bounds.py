@@ -8,8 +8,6 @@ from towerbound.bounds import (
     TorsionHypothesisUnmet,
     ambiguous_lower,
     build_certificate,
-    class_gap_term,
-    class_rank_lower,
     ell_rank,
     fine_selmer_lower,
 )
@@ -45,23 +43,6 @@ def test_ambiguous_lower():
         ambiguous_lower(5, 0)
 
 
-def test_class_rank_lower_tracks_layers():
-    plan = build_plan("example1")
-    assert [class_rank_lower(plan, n) for n in range(5)] == [2, 6, 18, 54, 162]
-    plan3 = build_plan("example3")
-    assert [class_rank_lower(plan3, n) for n in range(3)] == [6, 42, 294]
-
-
-def test_class_gap_term_growth():
-    assert class_gap_term(1, 5, 2) == 50
-    assert class_gap_term(0, 5, 3) == 0
-    # the base is the Kummer prime: successive layers scale by ell
-    vals = [class_gap_term(2, 5, n) for n in range(4)]
-    assert all(b == 5 * a for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValueError):
-        class_gap_term(-1, 5, 0)
-
-
 def test_fine_selmer_requires_declared_gap():
     plan = build_tower_plan(
         5, GroupSpec(p=3, dimension=1, action_order=2), CyclotomicBase(3), 2
@@ -69,7 +50,7 @@ def test_fine_selmer_requires_declared_gap():
     av = get_fixture("example1").av
     assert av is not None
     with pytest.raises(PlanNotInflated):
-        fine_selmer_lower(plan, av, 0, 0)
+        fine_selmer_lower(plan, av, 0)
     with pytest.raises(PlanNotInflated):
         build_certificate(plan, av=av)
 
@@ -80,20 +61,13 @@ def test_fine_selmer_requires_torsion():
         label="37a1", dimension=1, torsion_at_kummer_prime=False, bad_primes=(37,)
     )
     with pytest.raises(TorsionHypothesisUnmet):
-        fine_selmer_lower(plan, no_torsion, 0, 1)
-
-
-def test_fine_selmer_gap_rank_must_match_plan():
-    plan = build_plan("example1")
-    av = get_fixture("example1").av
-    with pytest.raises(ValueError):
-        fine_selmer_lower(plan, av, 3, 1)
+        fine_selmer_lower(plan, no_torsion, 1)
 
 
 def test_fine_selmer_values_example1():
     plan = build_plan("example1")
     av = get_fixture("example1").av
-    got = [fine_selmer_lower(plan, av, 0, n) for n in range(5)]
+    got = [fine_selmer_lower(plan, av, n) for n in range(5)]
     assert [b.claimed for b in got] == [2, 6, 18, 54, 162]
     assert [b.conservative for b in got] == [0, 4, 16, 52, 160]
     # the pace is min(ell, p) = 3, not ell = 5

@@ -1,11 +1,19 @@
+import functools
 import itertools
 import math
 import random
 
 import pytest
 
-from towerbound import cyclotomic, gf, zpoly
-from towerbound.tower import RelativeCubicBase
+from towerbound import arith, cyclotomic, gf, zpoly
+from towerbound.fixtures import bundled_cubic_base
+from towerbound.tower import (
+    FAMILY_NILPOTENT,
+    GroupSpec,
+    RelativeCubicBase,
+    ValidationFailed,
+    build_tower_plan,
+)
 from towerbound.gf import (
     DiscriminantDivisible,
     ExtensionField,
@@ -204,9 +212,11 @@ def test_inertness_law_matches_residue_field_route():
             assert seen == {True, False}, (m, f)
 
 
-# Cubics with their conductor sweeps: the first two have discriminant f^2 for
-# a prime f = 1 (mod 3) and take the residue-class table; the others fall
-# back to the Rabin test, the fourth because 448 = 1 (mod 3) is not prime.
+# Cubics with their conductor sweeps.  The first two are irreducible with
+# discriminant f^2 for a prime f = 1 (mod 3), so they carry a residue-class
+# table; the others carry an empty one and fail validation: the third because
+# 9 is not prime, the fourth because 448 = 1 (mod 3) is not prime, the fifth
+# because its group is S_3.
 RELATIVE_CUBICS = (
     ((-1, -4, -1, 1), range(1, 61)),  # disc 13^2, the bundled cubic
     ((-1, -2, 1, 1), (13, 14)),  # x^3 + x^2 - 2x - 1, disc 7^2
@@ -218,9 +228,10 @@ RELATIVE_CUBICS = (
 
 def test_relative_prime_qualifies_matches_residue_field_route(monkeypatch):
     # Naive oracle: residue degree from splitting_data, then the F_{q^f}
-    # route.  The oracle's Rabin test is the one C10 checks on its own, and
-    # the fallback cubics share it with prime_qualifies; memoizing it keeps
-    # this sweep affordable.
+    # route.  The oracle's Rabin test is the one C10 checks on its own.
+    # Memoizing it, and the primality proof splitting_data repeats for every
+    # conductor, keeps this sweep affordable.
+    monkeypatch.setattr(arith, "is_prime", functools.cache(arith.is_prime))
     memo = {}
     rabin = gf.is_irreducible
 
@@ -242,7 +253,7 @@ def test_relative_prime_qualifies_matches_residue_field_route(monkeypatch):
 
     primes = [q for q in range(2, 20_000)
               if all(q % d for d in range(2, math.isqrt(q) + 1))]
-    for cubic, conductors in RELATIVE_CUBICS:
+    for cubic, conductors in RELATIVE_CUBICS[:2]:
         accepted = 0
         for m in conductors:
             base = RelativeCubicBase(base_conductor=m, poly=cubic)
@@ -251,6 +262,23 @@ def test_relative_prime_qualifies_matches_residue_field_route(monkeypatch):
                 assert got == oracle(base, q), (cubic, m, q)
                 accepted += got
         assert accepted > 0, cubic
+
+
+def test_relative_cubic_without_a_class_table_fails_validation():
+    # Only the class law selects primes, so a cubic it does not cover has an
+    # empty table and the plan names the failed item instead of searching.
+    group = GroupSpec(p=7, dimension=3, action_order=3,
+                      family=FAMILY_NILPOTENT, twist_exponent=1)
+    _, checklist = bundled_cubic_base(7)
+    for cubic, conductors in RELATIVE_CUBICS[2:]:
+        for m in conductors:
+            assert RelativeCubicBase(base_conductor=m, poly=cubic).classes[1] == frozenset()
+        base = RelativeCubicBase(base_conductor=7, poly=cubic)
+        with pytest.raises(ValidationFailed) as exc:
+            build_tower_plan(3, group, base, 6, checklist=checklist)
+        assert [i.name for i in exc.value.report.failures] == ["base-cubic-cyclic"]
+    # a polynomial that is not a monic cubic gets an empty table too
+    assert RelativeCubicBase(base_conductor=7, poly=(1, 2, 1)).classes[1] == frozenset()
 
 
 # ---------------------------------------------------------------------------

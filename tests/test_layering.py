@@ -1,0 +1,44 @@
+"""Import rules between the package's modules, read from their source with ``ast``."""
+
+import ast
+from pathlib import Path
+
+PKG = Path(__file__).resolve().parents[1] / "src" / "towerbound"
+
+
+def _package_imports(module: str) -> set[str]:
+    """The sibling modules ``towerbound.<module>`` imports, by bare name."""
+    tree = ast.parse((PKG / f"{module}.py").read_text(encoding="utf-8"))
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None:  # from . import a, b
+                found.update(alias.name for alias in node.names)
+            elif node.level == 1:  # from .a import b
+                found.add(node.module.split(".")[0])
+            elif (node.module or "").startswith("towerbound"):
+                parts = node.module.split(".")
+                found.update(parts[1:2] or (alias.name for alias in node.names))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "towerbound" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def test_the_rabin_test_stays_with_the_verifiers():
+    # reproduce and the bundled checklist still call gf; this also keeps the
+    # rules below from passing on a reader that finds no imports at all
+    assert "gf" in _package_imports("reproduce")
+    assert "gf" in _package_imports("fixtures")
+
+
+def test_tower_selects_primes_without_gf():
+    # Prime selection walks residue-class tables; gf's Rabin test is the
+    # independent verifier of those tables, so tower must not reach it.
+    assert "gf" not in _package_imports("tower")
+
+
+def test_report_imports_only_the_formatters():
+    assert _package_imports("report") <= {"arith", "zpoly"}
