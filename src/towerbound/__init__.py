@@ -13,10 +13,8 @@ from .arith import is_prime, mul_many, mult_order, primes_ascending
 from .bounds import (
     AbelianVarietyDesc,
     BoundCertificate,
-    FiniteAbelianGroup,
     ambiguous_lower,
     build_certificate,
-    ell_rank,
     fine_selmer_lower,
 )
 from .cyclotomic import (
@@ -35,13 +33,11 @@ from .gf import (
     is_irreducible,
 )
 from .tower import (
-    AssumptionChecklist,
     CyclotomicBase,
     GroupSpec,
     RelativeCubicBase,
     TowerPlan,
     build_tower_plan,
-    check_assumption,
     ramified_place_target,
     validate_group,
 )
@@ -69,15 +65,11 @@ __all__ = [
     "is_inert_in_relative_extension",
     "GroupSpec",
     "validate_group",
-    "AssumptionChecklist",
-    "check_assumption",
     "ramified_place_target",
     "CyclotomicBase",
     "RelativeCubicBase",
     "TowerPlan",
     "build_tower_plan",
-    "FiniteAbelianGroup",
-    "ell_rank",
     "AbelianVarietyDesc",
     "ambiguous_lower",
     "fine_selmer_lower",

@@ -18,11 +18,8 @@ from .catalog import Diagnostic
 from .tower import TowerPlan
 
 __all__ = [
-    "InvalidChain",
     "TorsionHypothesisUnmet",
     "PlanNotInflated",
-    "FiniteAbelianGroup",
-    "ell_rank",
     "AbelianVarietyDesc",
     "ambiguous_lower",
     "FineSelmerBound",
@@ -34,52 +31,12 @@ __all__ = [
 ]
 
 
-class InvalidChain(ValueError):
-    """Raised when invariant factors do not form a divisibility chain."""
-
-
 class TorsionHypothesisUnmet(ValueError):
     """Raised when the abelian variety lacks the required rational torsion."""
 
 
 class PlanNotInflated(ValueError):
     """Raised when fine-Selmer rows are requested from a plan with no declared gap rank."""
-
-
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
-    """A finite abelian group as its invariant-factor chain d1 | d2 | ... | dk."""
-
-    invariant_factors: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        fac = self.invariant_factors
-        for d in fac:
-            if d < 2:
-                raise InvalidChain(f"invariant factor {d} < 2")
-        for a, b in zip(fac, fac[1:]):
-            if b % a != 0:
-                raise InvalidChain(f"{a} does not divide {b}")
-
-    @property
-    def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
-
-
-def ell_rank(group: FiniteAbelianGroup | tuple[int, ...] | list[int], ell: int) -> int:
-    """Dimension of G/G^ell over the field with ell elements.
-
-    Equals the number of invariant factors divisible by ell; accepts either a
-    :class:`FiniteAbelianGroup` or a bare invariant-factor sequence.
-    """
-    if not isinstance(group, FiniteAbelianGroup):
-        group = FiniteAbelianGroup(tuple(int(d) for d in group))
-    if ell < 2:
-        raise ValueError("ell must be a prime")
-    return sum(1 for d in group.invariant_factors if d % ell == 0)
 
 
 @dataclass(frozen=True)
@@ -170,7 +127,6 @@ class TraceStep:
 class BoundCertificate:
     """Per-layer certified bounds with their inequality trace and caveats."""
 
-    plan: TowerPlan
     av: AbelianVarietyDesc | None
     gap_rank: int | None
     n_max: int
@@ -313,7 +269,6 @@ def build_certificate(
         )
 
     return BoundCertificate(
-        plan=plan,
         av=av,
         gap_rank=gap_rank,
         n_max=n_max,

@@ -239,9 +239,8 @@ def cmd_construct(args: argparse.Namespace) -> tuple[int, str, dict]:
         if args.conductor is None:
             raise ValueError("--base cyclotomic requires --conductor")
         base = CyclotomicBase(conductor=args.conductor)
-        checklist = None
     else:
-        base, checklist = bundled_cubic_base(args.p)
+        base = bundled_cubic_base(args.p)
 
     av = None
     if args.av is not None:
@@ -254,7 +253,6 @@ def cmd_construct(args: argparse.Namespace) -> tuple[int, str, dict]:
         group,
         base,
         args.rank_target,
-        checklist=checklist,
         gap_rank=args.gap_rank,
     )
     cert = build_certificate(plan, av=av, n_max=args.n_max)

@@ -9,14 +9,11 @@ diagnostic catalogue instead of silently repairing them.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from . import catalog, gf, zpoly
-from .bounds import AbelianVarietyDesc, FiniteAbelianGroup, ell_rank
+from . import catalog
+from .bounds import AbelianVarietyDesc
 from .tower import (
-    AssumptionChecklist,
-    ChecklistItem,
     CyclotomicBase,
     FAMILY_ABELIAN,
     FAMILY_NILPOTENT,
@@ -79,8 +76,11 @@ _EX3_ALPHA = int(
 
 _EX3_P = 7
 
-# x^3 - x^2 - 4x - 1 (constant term first) over Q(zeta_7)
-_EX3_BASE = RelativeCubicBase(base_conductor=7, poly=(-1, -4, -1, 1))
+# x^3 - x^2 - 4x - 1 (constant term first) over Q(zeta_7), with the class
+# number the standard tables give
+_EX3_BASE = RelativeCubicBase(
+    base_conductor=7, poly=(-1, -4, -1, 1), class_number=13
+)
 
 _EX3_FACTOR_TARGET = 43
 
@@ -198,90 +198,31 @@ def get_fixture(fixture_id: str) -> Fixture:
         ) from None
 
 
-@functools.cache
-def bundled_cubic_base(p: int) -> tuple[RelativeCubicBase, AssumptionChecklist]:
-    """The relative cubic base of example3 with its hypothesis checklist.
+def bundled_cubic_base(p: int) -> RelativeCubicBase:
+    """The relative cubic base of example3, for its tower prime only.
 
-    The checklist is discharged for example3's tower prime, the only p
-    accepted (ValueError otherwise).  Three of its four items are computed
-    on first use and cached; the class-group item rests on the standard
-    tables and says so in its provenance.
+    The base validates its own hypotheses against p; they are discharged for
+    example3's p alone, so any other p raises ValueError.
     """
     if p != _EX3_P:
         raise ValueError(f"the bundled cubic base assumes p = {_EX3_P}")
-    base = _EX3_BASE
-    poly = list(base.poly)
-    disc = zpoly.discriminant(poly)
-    residue = gf.PrimeField(p)
-    stays_irreducible = gf.is_irreducible(residue, [c % p for c in poly])
-    conductor_is_p_power = _is_power_of(base.base_conductor, p)
-    class_group = FiniteAbelianGroup((13,))
-    p_part_trivial = ell_rank(class_group, p) == 0
-    return base, AssumptionChecklist(
-        base_description=base.describe(),
-        totally_imaginary=ChecklistItem(
-            name="totally-imaginary",
-            holds=True,
-            provenance="computed-here",
-            detail=(
-                "the cyclotomic subfield has no real places, so neither does "
-                "any extension of it"
-            ),
-        ),
-        contains_p_roots=ChecklistItem(
-            name="contains-p-th-roots",
-            holds=base.base_conductor % p == 0,
-            provenance="computed-here",
-            detail=f"conductor {base.base_conductor} supplies the {p}th roots of unity",
-        ),
-        unique_prime_above_p=ChecklistItem(
-            name="unique-prime-above-p",
-            holds=conductor_is_p_power and disc % p != 0 and stays_irreducible,
-            provenance="computed-here",
-            detail=(
-                f"{p} is totally ramified through the cyclotomic part and the "
-                f"cubic stays irreducible in the residue field "
-                f"(disc = {disc} is prime to {p})"
-            ),
-        ),
-        class_group_p_part_trivial=ChecklistItem(
-            name="class-group-p-part-trivial",
-            holds=p_part_trivial,
-            provenance="external-database",
-            detail=(
-                f"the class group is cyclic of order {class_group.order} per "
-                f"standard tables; its {p}-part is trivial"
-            ),
-        ),
-    )
-
-
-def _is_power_of(n: int, p: int) -> bool:
-    if n < 1:
-        return False
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return _EX3_BASE
 
 
 def build_plan(fixture_id: str) -> TowerPlan:
     """Build the tower plan for a fixture, pinning what the fixture pins.
 
-    A relative base brings its hypothesis checklist.  A pinned place count
-    replaces the formula value and carries the two catalogued warnings on
-    it (example2); ``pins_primes`` replaces the ascending search with the
-    pinned list, which must still qualify (example3).
+    A pinned place count replaces the formula value and carries the two
+    catalogued warnings on it (example2); ``pins_primes`` replaces the
+    ascending search with the pinned list, which must still qualify
+    (example3).
     """
     fx = get_fixture(fixture_id)
-    checklist = None
-    if isinstance(fx.base, RelativeCubicBase):
-        checklist = bundled_cubic_base(fx.p)[1]
     return build_tower_plan(
         fx.ell,
         fx.group,
         fx.base,
         fx.rank_target,
-        checklist=checklist,
         gap_rank=fx.declared_gap_rank,
         ramified_target_override=fx.pinned_ramified_count,
         primes_override=fx.pinned_primes if fx.pins_primes else None,

@@ -27,9 +27,6 @@ __all__ = [
     "FAMILY_NILPOTENT",
     "GroupSpec",
     "validate_group",
-    "ChecklistItem",
-    "AssumptionChecklist",
-    "check_assumption",
     "ramified_place_target",
     "CyclotomicBase",
     "RelativeCubicBase",
@@ -185,74 +182,6 @@ def validate_group(spec: GroupSpec) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# base-field hypothesis checklist (relative bases)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChecklistItem:
-    """One hypothesis about the base field, with its provenance.
-
-    ``provenance`` is one of ``computed-here``, ``external-database``, or
-    ``asserted``; only the first means this package verified the fact itself.
-    """
-
-    name: str
-    holds: bool
-    provenance: str
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class AssumptionChecklist:
-    """The base-field hypotheses a relative construction rests on."""
-
-    base_description: str
-    totally_imaginary: ChecklistItem
-    contains_p_roots: ChecklistItem
-    unique_prime_above_p: ChecklistItem
-    class_group_p_part_trivial: ChecklistItem
-
-    def items(self) -> tuple[ChecklistItem, ...]:
-        return (
-            self.totally_imaginary,
-            self.contains_p_roots,
-            self.unique_prime_above_p,
-            self.class_group_p_part_trivial,
-        )
-
-
-def check_assumption(checklist: AssumptionChecklist) -> ValidationReport:
-    """Validate the four base-field hypotheses and derive p-rationality.
-
-    The derived item records that a field containing the p-th roots of unity,
-    with a single prime above p and trivial p-part of its class group, is
-    p-rational; it holds exactly when items 2-4 hold.
-    """
-    items = [
-        CheckItem(
-            f"checklist:{it.name}",
-            it.holds,
-            f"{it.detail} [{it.provenance}]" if it.detail else f"[{it.provenance}]",
-        )
-        for it in checklist.items()
-    ]
-    derived = (
-        checklist.contains_p_roots.holds
-        and checklist.unique_prime_above_p.holds
-        and checklist.class_group_p_part_trivial.holds
-    )
-    items.append(
-        CheckItem(
-            "derived:p-rational",
-            derived,
-            "follows from the roots-of-unity, unique-prime and class-group items",
-        )
-    )
-    return ValidationReport(tuple(items))
-
-
-# ---------------------------------------------------------------------------
 # ramified-place bookkeeping
 # ---------------------------------------------------------------------------
 
@@ -342,9 +271,7 @@ class CyclotomicBase:
         if c % p == 0:
             # Remove the p-part; p is totally ramified through it.  A single
             # place remains iff p generates the residues mod the prime-to-p part.
-            rest = c
-            while rest % p == 0:
-                rest //= p
+            rest = _prime_to(c, p)
             if rest == 1:
                 return True
             try:
@@ -370,6 +297,13 @@ class CyclotomicBase:
         return q % n in residues
 
 
+def _prime_to(n: int, p: int) -> int:
+    """``n`` with every factor ``p`` divided out; ``p`` must be prime."""
+    while n and n % p == 0:
+        n //= p
+    return n
+
+
 @functools.cache
 def _generator_classes(c: int) -> tuple[int, frozenset[int]]:
     # The generators of (Z/c)* are g^k for one generator g and k prime to
@@ -391,10 +325,15 @@ def _generator_classes(c: int) -> tuple[int, frozenset[int]]:
 
 @dataclass(frozen=True)
 class RelativeCubicBase:
-    """Base field Q(zeta_c)(theta) for a monic integer cubic satisfied by theta."""
+    """Base field Q(zeta_c)(theta) for a monic integer cubic satisfied by theta.
+
+    ``class_number`` is the field's class number, taken from standard tables;
+    without it the base cannot vouch for its hypotheses and fails validation.
+    """
 
     base_conductor: int
     poly: tuple[int, ...]  # monic cubic, constant term first
+    class_number: int | None = None
 
     @property
     def places_per_prime(self) -> int:
@@ -443,24 +382,91 @@ class RelativeCubicBase:
                 f"conductor {self.base_conductor} must be divisible by "
                 f"p = {group.p} to supply its roots of unity",
             ),
+            CheckItem(
+                "checklist-present",
+                self.class_number is not None,
+                "a relative base needs its hypothesis checklist",
+            ),
         ]
+        if self.class_number is not None:
+            items += self._hypotheses(group.p, self.class_number)
         return items
 
-    def _irreducible_over_q(self) -> bool:
-        # A monic integer cubic is irreducible over Q iff it has no integer
-        # root, and any such root divides the constant term.
-        poly = list(self.poly)
-        if len(poly) != 4 or poly[-1] != 1:
-            return False
-        c0 = poly[0]
-        if c0 == 0:
-            return False
-        for r in range(1, abs(c0) + 1):
-            if c0 % r == 0:
-                for cand in (r, -r):
-                    if zpoly.eval_at(poly, cand) == 0:
-                        return False
-        return True
+    def _hypotheses(self, p: int, h: int) -> list[CheckItem]:
+        """The base-field facts the relative construction rests on.
+
+        A field containing the p-th roots of unity, with a single prime above
+        p and a class number prime to p, is p-rational: the last item.
+        """
+        c, f = self.base_conductor, self.cubic_conductor
+        roots = c % p == 0
+        # With c a power of p, p is totally ramified in Q(zeta_c).  The cubic
+        # field has conductor f != p, so p is unramified there, and by the
+        # Artin map it is inert iff it is not a cube mod f.  Then a single
+        # prime, of residue degree 3, lies above p.  Z[theta] is the maximal
+        # order (disc = f^2 is the field discriminant), so by Dedekind's
+        # criterion this is the cubic staying irreducible mod p.
+        unique = (
+            arith.is_prime(p) and _prime_to(c, p) == 1 and f is not None
+            and p % f != 0 and pow(p, (f - 1) // 3, f) != 1
+        )
+        p_part_trivial = h % p != 0
+        shape = "cyclic of order" if arith.is_prime(h) else "of order"
+        return [
+            CheckItem(
+                "checklist:totally-imaginary",
+                c >= 3,
+                "the cyclotomic subfield has no real places, so neither does "
+                "any extension of it [computed-here]" if c >= 3 else
+                f"over conductor {c} the field is a cyclic cubic, which is "
+                f"totally real [computed-here]",
+            ),
+            CheckItem(
+                "checklist:contains-p-th-roots",
+                roots,
+                f"conductor {c} {'supplies' if roots else 'does not supply'} "
+                f"the {p}th roots of unity [computed-here]",
+            ),
+            CheckItem(
+                "checklist:unique-prime-above-p",
+                unique,
+                f"{p} is totally ramified through the cyclotomic part and the "
+                f"cubic stays irreducible in the residue field "
+                f"(disc = {f * f} is prime to {p}) [computed-here]" if unique else
+                f"not established: needs conductor {c} a power of {p}, "
+                f"disc = f^2 for a prime f = 1 (mod 3) other than {p}, and {p} "
+                f"not a cube mod f [computed-here]",
+            ),
+            CheckItem(
+                "checklist:class-group-p-part-trivial",
+                p_part_trivial,
+                f"the class group is {shape} {h} per standard tables; its "
+                f"{p}-part is {'trivial' if p_part_trivial else 'not trivial'} "
+                f"[external-database]",
+            ),
+            CheckItem(
+                "derived:p-rational",
+                roots and unique and p_part_trivial,
+                "follows from the roots-of-unity, unique-prime and class-group items",
+            ),
+        ]
+
+    @functools.cached_property
+    def cubic_conductor(self) -> int | None:
+        """The prime f = 1 (mod 3) with discriminant f^2, or None for any other poly.
+
+        A monic integer cubic with this discriminant is irreducible over Q.
+        Three integer roots a, b, c give the square of (a-b)(b-c)(c-a), which
+        is even, while f is odd; a root a times an irreducible quadratic g
+        gives D g(a)^2, with D the discriminant of g, which is not a square.
+        """
+        if len(self.poly) != 4 or self.poly[-1] != 1:
+            return None
+        disc = zpoly.discriminant(list(self.poly))
+        f = math.isqrt(max(disc, 0))
+        if f * f != disc or f % 3 != 1 or not arith.is_prime(f):
+            return None
+        return f
 
     @functools.cached_property
     def classes(self) -> tuple[int, frozenset[int]]:
@@ -469,11 +475,8 @@ class RelativeCubicBase:
         The set is empty unless the cubic is irreducible with discriminant
         f^2 for a prime f = 1 (mod 3) that does not divide the conductor.
         """
-        if not self._irreducible_over_q():
-            return 1, frozenset()
-        disc = zpoly.discriminant(list(self.poly))
-        f = math.isqrt(max(disc, 0))
-        if f * f != disc or f % 3 != 1 or not arith.is_prime(f):
+        f = self.cubic_conductor
+        if f is None:
             return 1, frozenset()
         step = self.base_conductor if self.base_conductor > 2 else 1
         n = step * f
@@ -548,7 +551,6 @@ class TowerPlan:
     effective_rank_target: int
     group: GroupSpec
     base: BaseField
-    checklist: AssumptionChecklist | None
     ramified_target: int
     ramified_target_formula: int
     selected_primes: tuple[int, ...]
@@ -599,7 +601,6 @@ def build_tower_plan(
     base: BaseField,
     rank_target: int,
     *,
-    checklist: AssumptionChecklist | None = None,
     gap_rank: int | None = None,
     ramified_target_override: int | None = None,
     primes_override: Sequence[int] | None = None,
@@ -632,18 +633,6 @@ def build_tower_plan(
         CheckItem("rank-target-positive", rank_target >= 1, f"target = {rank_target}")
     )
     items.extend(base.validate(group))
-
-    relative = isinstance(base, RelativeCubicBase)
-    if relative:
-        items.append(
-            CheckItem(
-                "checklist-present",
-                checklist is not None,
-                "a relative base needs its hypothesis checklist",
-            )
-        )
-        if checklist is not None:
-            items.extend(check_assumption(checklist).items)
 
     gap_inflation: GapInflation | None = None
     effective_target = rank_target
@@ -720,7 +709,6 @@ def build_tower_plan(
         effective_rank_target=effective_target,
         group=group,
         base=base,
-        checklist=checklist,
         ramified_target=target,
         ramified_target_formula=formula,
         selected_primes=tuple(primes),

@@ -2,35 +2,14 @@ import pytest
 
 from towerbound.bounds import (
     AbelianVarietyDesc,
-    FiniteAbelianGroup,
-    InvalidChain,
     PlanNotInflated,
     TorsionHypothesisUnmet,
     ambiguous_lower,
     build_certificate,
-    ell_rank,
     fine_selmer_lower,
 )
 from towerbound.fixtures import build_plan, get_fixture
 from towerbound.tower import CyclotomicBase, GroupSpec, build_tower_plan
-
-
-def test_finite_abelian_group_chain():
-    g = FiniteAbelianGroup((2, 4, 8))
-    assert g.order == 64
-    assert FiniteAbelianGroup(()).order == 1
-    with pytest.raises(InvalidChain):
-        FiniteAbelianGroup((4, 6))
-    with pytest.raises(InvalidChain):
-        FiniteAbelianGroup((1, 2))
-
-
-def test_ell_rank():
-    assert ell_rank([5, 25, 50], 5) == 3
-    assert ell_rank([5, 25, 50], 2) == 1
-    assert ell_rank((13,), 7) == 0
-    assert ell_rank(FiniteAbelianGroup((3, 3, 9)), 3) == 3
-    assert ell_rank((), 5) == 0
 
 
 def test_ambiguous_lower():

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from towerbound import arith, cyclotomic, gf, zpoly
-from towerbound.fixtures import bundled_cubic_base
 from towerbound.tower import (
     FAMILY_NILPOTENT,
     GroupSpec,
@@ -267,18 +266,66 @@ def test_relative_prime_qualifies_matches_residue_field_route(monkeypatch):
 def test_relative_cubic_without_a_class_table_fails_validation():
     # Only the class law selects primes, so a cubic it does not cover has an
     # empty table and the plan names the failed item instead of searching.
-    group = GroupSpec(p=7, dimension=3, action_order=3,
-                      family=FAMILY_NILPOTENT, twist_exponent=1)
-    _, checklist = bundled_cubic_base(7)
+    # Without the discriminant root f the unique prime above p cannot be
+    # established either, and p-rationality falls with it.
+    group = _order_3_group(7)
     for cubic, conductors in RELATIVE_CUBICS[2:]:
         for m in conductors:
             assert RelativeCubicBase(base_conductor=m, poly=cubic).classes[1] == frozenset()
-        base = RelativeCubicBase(base_conductor=7, poly=cubic)
+        base = RelativeCubicBase(base_conductor=7, poly=cubic, class_number=1)
         with pytest.raises(ValidationFailed) as exc:
-            build_tower_plan(3, group, base, 6, checklist=checklist)
-        assert [i.name for i in exc.value.report.failures] == ["base-cubic-cyclic"]
+            build_tower_plan(3, group, base, 6)
+        assert [i.name for i in exc.value.report.failures] == [
+            "base-cubic-cyclic", "checklist:unique-prime-above-p", "derived:p-rational",
+        ]
     # a polynomial that is not a monic cubic gets an empty table too
     assert RelativeCubicBase(base_conductor=7, poly=(1, 2, 1)).classes[1] == frozenset()
+
+
+def _order_3_group(p):
+    return GroupSpec(p=p, dimension=3, action_order=3,
+                     family=FAMILY_NILPOTENT, twist_exponent=1)
+
+
+def _has_integer_root(poly):
+    """Whether a monic integer cubic has an integer root; any such root divides c0."""
+    c0 = poly[0]
+    if c0 == 0:
+        return True
+    return any(zpoly.eval_at(list(poly), s * r) == 0
+               for r in range(1, abs(c0) + 1) if c0 % r == 0 for s in (1, -1))
+
+
+def test_a_class_table_implies_an_irreducible_cubic():
+    # A discriminant f^2, f a prime = 1 (mod 3), rules out an integer root,
+    # so the table needs no separate irreducibility test.
+    tabled = 0
+    for c0, c1, c2 in itertools.product(range(-12, 13), repeat=3):
+        cubic = (c0, c1, c2, 1)
+        if RelativeCubicBase(base_conductor=1, poly=cubic).classes[1]:
+            assert not _has_integer_root(cubic), cubic
+            tabled += 1
+    assert tabled == 48
+
+
+def test_unique_prime_item_matches_the_rabin_test():
+    # With the conductor a power of p, a single prime lies above p iff the
+    # cubic stays irreducible mod p; the item decides that by the Artin map.
+    primes = [p for p in range(2, 2000) if arith.is_prime(p)]
+    for cubic, _ in RELATIVE_CUBICS[:2]:
+        f = RelativeCubicBase(base_conductor=1, poly=cubic).cubic_conductor
+        seen = set()
+        for p in primes:
+            if p == f:
+                continue
+            base = RelativeCubicBase(base_conductor=p, poly=cubic, class_number=1)
+            got = next(i.ok for i in base.validate(_order_3_group(p))
+                       if i.name == "checklist:unique-prime-above-p")
+            assert got == is_irreducible(PrimeField(p), [c % p for c in cubic]), (
+                cubic, p,
+            )
+            seen.add(got)
+        assert seen == {True, False}, cubic
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ from pathlib import Path
 import pytest
 
 from towerbound import arith, cyclotomic, report
+from towerbound.fixtures import bundled_cubic_base
 from towerbound.tower import (
-    AssumptionChecklist,
-    ChecklistItem,
     CyclotomicBase,
     EqualPrimes,
     FAMILY_ABELIAN,
@@ -19,7 +18,6 @@ from towerbound.tower import (
     RelativeCubicBase,
     ValidationFailed,
     build_tower_plan,
-    check_assumption,
     ramified_place_target,
     select_primes,
     validate_group,
@@ -77,36 +75,61 @@ def test_ramified_place_target_values():
         ramified_place_target(2, 2, 1, 4)
 
 
-def _checklist(**overrides):
-    base = dict(
-        totally_imaginary=ChecklistItem("totally-imaginary", True, "computed-here"),
-        contains_p_roots=ChecklistItem("contains-p-th-roots", True, "computed-here"),
-        unique_prime_above_p=ChecklistItem(
-            "unique-prime-above-p", True, "computed-here"
-        ),
-        class_group_p_part_trivial=ChecklistItem(
-            "class-group-p-part-trivial", True, "external-database"
-        ),
-    )
-    base.update(overrides)
-    return AssumptionChecklist(base_description="test base", **base)
+def _cubic(class_number=13, conductor=7):
+    return RelativeCubicBase(base_conductor=conductor, poly=(-1, -4, -1, 1),
+                             class_number=class_number)
 
 
-def test_check_assumption_derives_p_rationality():
-    rep = check_assumption(_checklist())
-    assert rep.passed
-    derived = [i for i in rep.items if i.name == "derived:p-rational"]
-    assert derived and derived[0].ok
+def test_relative_base_derives_p_rationality():
+    items = _cubic().validate(NILPOTENT)
+    assert all(i.ok for i in items)
+    assert items[-1].name == "derived:p-rational"
+    # a class number divisible by p breaks the class-group item, and with it
+    # p-rationality, and nothing else
+    failed = [i.name for i in _cubic(class_number=14).validate(NILPOTENT) if not i.ok]
+    assert failed == ["checklist:class-group-p-part-trivial", "derived:p-rational"]
 
-    broken = _checklist(
-        class_group_p_part_trivial=ChecklistItem(
-            "class-group-p-part-trivial", False, "external-database"
-        )
-    )
-    rep = check_assumption(broken)
-    assert not rep.passed
-    derived = [i for i in rep.items if i.name == "derived:p-rational"]
-    assert derived and not derived[0].ok
+
+def test_relative_base_over_the_rationals_is_totally_real():
+    # Over conductor <= 2 the base is a cyclic cubic field, which has no
+    # complex places and no 7th roots of unity; 7 stays inert in it, so the
+    # single place above 7 survives.
+    failed = [i.name for i in _cubic(conductor=1).validate(NILPOTENT) if not i.ok]
+    assert failed == [
+        "base-supplies-p-roots",
+        "checklist:totally-imaginary",
+        "checklist:contains-p-th-roots",
+        "derived:p-rational",
+    ]
+
+
+def test_bundled_base_validates_its_own_hypotheses():
+    items = bundled_cubic_base(7).validate(NILPOTENT)
+    assert [(i.name, i.ok, i.detail) for i in items] == [
+        ("base-cubic-monic", True, "relative step must be a monic cubic"),
+        ("base-action-order-matches-step", True,
+         "relative degree 3 must equal the action order 3"),
+        ("base-cubic-cyclic", True,
+         "the cubic must be irreducible with discriminant f^2 for a prime "
+         "f = 1 (mod 3) prime to the conductor"),
+        ("base-supplies-p-roots", True,
+         "conductor 7 must be divisible by p = 7 to supply its roots of unity"),
+        ("checklist-present", True, "a relative base needs its hypothesis checklist"),
+        ("checklist:totally-imaginary", True,
+         "the cyclotomic subfield has no real places, so neither does any "
+         "extension of it [computed-here]"),
+        ("checklist:contains-p-th-roots", True,
+         "conductor 7 supplies the 7th roots of unity [computed-here]"),
+        ("checklist:unique-prime-above-p", True,
+         "7 is totally ramified through the cyclotomic part and the cubic "
+         "stays irreducible in the residue field (disc = 169 is prime to 7) "
+         "[computed-here]"),
+        ("checklist:class-group-p-part-trivial", True,
+         "the class group is cyclic of order 13 per standard tables; its "
+         "7-part is trivial [external-database]"),
+        ("derived:p-rational", True,
+         "follows from the roots-of-unity, unique-prime and class-group items"),
+    ]
 
 
 def test_build_plan_smallest_case():
@@ -192,31 +215,28 @@ def test_build_plan_gap_inflation():
 
 
 def test_build_plan_primes_override_is_validated():
-    base = RelativeCubicBase(base_conductor=7, poly=(-1, -4, -1, 1))
-    checklist = _checklist()
+    base = _cubic()
     # 13 is not totally split downstairs (and divides the cubic's
     # discriminant besides), so it cannot qualify
     with pytest.raises(ValidationFailed):
-        build_tower_plan(3, NILPOTENT, base, 6, checklist=checklist,
+        build_tower_plan(3, NILPOTENT, base, 6,
                          primes_override=(13, 43, 127, 491, 673, 953, 1499,
                                           1583, 2129, 2311))
     # too few places to cover the target
     with pytest.raises(ValidationFailed):
-        build_tower_plan(3, NILPOTENT, base, 6, checklist=checklist,
+        build_tower_plan(3, NILPOTENT, base, 6,
                          primes_override=(43, 127, 491))
 
 
 def test_build_plan_relative_needs_checklist():
-    base = RelativeCubicBase(base_conductor=7, poly=(-1, -4, -1, 1))
     with pytest.raises(ValidationFailed) as exc:
-        build_tower_plan(3, NILPOTENT, base, 6)
-    assert any("checklist-present" in i.name for i in exc.value.report.failures)
+        build_tower_plan(3, NILPOTENT, _cubic(class_number=None), 6)
+    assert [i.name for i in exc.value.report.failures] == ["checklist-present"]
 
 
 def test_relative_base_places():
-    base = RelativeCubicBase(base_conductor=7, poly=(-1, -4, -1, 1))
     plan = build_tower_plan(
-        3, NILPOTENT, base, 6, checklist=_checklist(),
+        3, NILPOTENT, _cubic(), 6,
         primes_override=(43, 127, 491, 673, 953, 1499, 1583, 2129, 2311, 2591),
     )
     assert len(plan.selected_places) == 60
