@@ -21,7 +21,6 @@ from .cyclotomic import (
     CycloElement,
     SplittingData,
     cyclotomic_polynomial,
-    is_inert,
     parse_cyclo_element,
     primes_above,
     splitting_data,
@@ -56,7 +55,6 @@ __all__ = [
     "CycloElement",
     "SplittingData",
     "splitting_data",
-    "is_inert",
     "primes_above",
     "parse_cyclo_element",
     "build_extension_field",

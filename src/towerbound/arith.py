@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: primality, multiplicative orders, prime streams.
+"""Exact integer arithmetic: primality, orders and generators mod n, prime streams.
 
 Everything here works on Python's built-in arbitrary-precision ``int``;
 values in the hundreds of digits are routine and nothing ever rounds.
@@ -23,6 +23,7 @@ __all__ = [
     "factorize",
     "euler_phi",
     "mult_order",
+    "unit_generators",
     "primes",
     "primes_ascending",
 ]
@@ -191,6 +192,23 @@ def mult_order(a: int, m: int) -> int:
         while order % p == 0 and pow(a, order // p, m) == 1:
             order //= p
     return order
+
+
+@lru_cache(maxsize=None)
+def unit_generators(n: int) -> frozenset[int]:
+    """The residues mod ``n`` >= 1 that generate (Z/n)*; empty when it is not cyclic.
+
+    It is cyclic iff n is 1, 2, 4, r^k or 2 r^k for an odd prime r, and then
+    its generators are g^k for one generator g and k prime to phi(n).
+    """
+    if n < 1:
+        raise ValueError("unit_generators expects n >= 1")
+    rest = n // 2 if n % 4 == 2 else n
+    if n not in (1, 2, 4) and (rest % 2 == 0 or len(factorize(rest)) != 1):
+        return frozenset()
+    phi = euler_phi(n)
+    g = next(a for a in range(n) if math.gcd(a, n) == 1 and mult_order(a, n) == phi)
+    return frozenset(pow(g, k, n) for k in range(phi) if math.gcd(k, phi) == 1)
 
 
 # The sieve covers the odd numbers below the default search ceiling, in

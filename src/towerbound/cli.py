@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="cyclotomic",
         help=(
             "cyclotomic uses --conductor; bundled-cubic is the relative "
-            "cubic base shipped with example3, checklist included"
+            "cubic base shipped with example3, class number included"
         ),
     )
     con.add_argument("--conductor", type=_int_in(1, MAX_CONDUCTOR), default=None)
@@ -274,7 +274,7 @@ def cmd_split(args: argparse.Namespace) -> tuple[int, str, dict]:
 
 
 def cmd_inert_primes(args: argparse.Namespace) -> tuple[int, str, dict]:
-    if args.count and not cyclotomic.unit_group_is_cyclic(args.conductor):
+    if args.count and not arith.unit_generators(args.conductor):
         raise arith.SearchExhausted(
             f"found only 0 of {args.count} primes below {args.ceiling}: "
             f"(Z/{args.conductor})* is not cyclic, so no prime is inert in "

@@ -9,6 +9,7 @@ multiplicative order of q mod m; no factorization of ideals is ever needed.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,8 +29,6 @@ __all__ = [
     "parse_cyclo_element",
     "SplittingData",
     "splitting_data",
-    "is_inert",
-    "unit_group_is_cyclic",
     "PrimeAbove",
     "primes_above",
 ]
@@ -235,8 +234,9 @@ def _word_primes(m: int) -> Iterator[tuple[int, int]]:
 
 _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 _SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
-_UNSUB = {s: d for d, s in zip("0123456789", "₀₁₂₃₄₅₆₇₈₉")}
-_UNSUP = {s: d for d, s in zip("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")}
+_UNSUB = str.maketrans("₀₁₂₃₄₅₆₇₈₉", "0123456789")
+_UNSUP = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+_TERM = re.compile(r"^(-?)(\d+)?(?:\*?zeta(?:\{(\d+)\}|(\d+))?(?:\^(\d+))?)?$")
 
 
 def _zeta_token(m: int, e: int, unicode_ok: bool) -> str:
@@ -276,27 +276,8 @@ def _render_element(el: CycloElement, unicode_ok: bool) -> str:
 
 def _translate_marks(s: str) -> str:
     """Rewrite sub/superscript runs into ASCII ``{sub}``/``^`` forms."""
-    out: list[str] = []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch in _UNSUB:
-            run = []
-            while i < len(s) and s[i] in _UNSUB:
-                run.append(_UNSUB[s[i]])
-                i += 1
-            out.append("{" + "".join(run) + "}")
-            continue
-        if ch in _UNSUP:
-            run = []
-            while i < len(s) and s[i] in _UNSUP:
-                run.append(_UNSUP[s[i]])
-                i += 1
-            out.append("^" + "".join(run))
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    s = re.sub("[₀-₉]+", lambda run: "{" + run[0].translate(_UNSUB) + "}", s)
+    return re.sub("[⁰¹²³⁴-⁹]+", lambda run: "^" + run[0].translate(_UNSUP), s)
 
 
 def parse_cyclo_element(text: str, m: int) -> CycloElement:
@@ -327,15 +308,10 @@ def parse_cyclo_element(text: str, m: int) -> CycloElement:
         raise ElementParseError(f"dangling sign in {text!r}")
     terms.append(cur)
 
-    import re
-
-    term_re = re.compile(
-        r"^(-?)(\d+)?(?:\*?zeta(?:\{(\d+)\}|(\d+))?(?:\^(\d+))?)?$"
-    )
     raw = [0] * m
     saw_term = False
     for n, t in enumerate(terms, 1):
-        mt = term_re.match(t)
+        mt = _TERM.match(t)
         if not mt:
             raise ElementParseError(f"bad term {t!r} in {text!r}")
         sign_s, digits, sub_cond, ascii_cond, exp_s = mt.groups()
@@ -441,31 +417,6 @@ def splitting_data(q: int, m: int) -> SplittingData:
     f = arith.mult_order(q, m)
     phi = arith.euler_phi(m)
     return SplittingData(q=q, m=m, e=1, f=f, g=phi // f)
-
-
-def is_inert(q: int, m: int) -> bool:
-    """True when q generates (Z/m)*, i.e. stays prime in Q(zeta_m).
-
-    Conductors m <= 2 are degree-1 fields, where "inert" is vacuously true.
-    """
-    sd = splitting_data(q, m)
-    return sd.g == 1
-
-
-def unit_group_is_cyclic(m: int) -> bool:
-    """Whether (Z/m)* is cyclic, i.e. m in {1, 2, 4, r^k, 2 r^k} for odd primes r.
-
-    Only then can a prime be inert in Q(zeta_m), for it must generate (Z/m)*.
-    """
-    if m in (1, 2, 4):
-        return True
-    rest = m
-    if rest % 2 == 0:
-        rest //= 2
-        if rest % 2 == 0:
-            return False
-    fac = arith.factorize(rest)
-    return len(fac) == 1 and (2 not in fac)
 
 
 @dataclass(frozen=True)

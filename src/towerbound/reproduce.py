@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import arith, catalog, cyclotomic, gf
+from . import arith, catalog, cyclotomic, gf, zpoly
 from .bounds import BoundCertificate, build_certificate
 from .catalog import Diagnostic
 from .fixtures import Fixture, build_plan, get_fixture
@@ -312,6 +312,31 @@ def _check_factorization(fx: Fixture) -> CheckResult:
     return CheckResult("factorization", status, detail, tuple(data["diagnostics"]))
 
 
+#: The most work :func:`factor_check` takes on, as :func:`_factor_work` counts
+#: it: about 6 s in CPython 3.11 on a 2-core host, inside the CLI fuzz's 10 s.
+FACTOR_WORK_BUDGET = 25_000_000
+
+
+def _factor_work(phi: int, factors: Sequence[cyclotomic.CycloElement]) -> int:
+    """Estimated multiply-adds to multiply ``factors`` and take their norms.
+
+    A norm runs over about phi * bits / 63 word primes, bits the length of
+    ||a||_1, each costing phi evaluations (a multiply-add per nonzero term,
+    plus about two) and a CRT step as long as the primes before it.  A
+    product step costs 2 phi per coefficient of the factor, and the product's
+    coefficients, of up to P bits for P the factors' bits summed, about
+    phi * P^2 / 10^5 to multiply out and render.
+    """
+    work = total_bits = 0
+    for f in factors:
+        bits = sum(map(abs, f.coeffs)).bit_length()
+        primes = phi * bits // 63 + 1
+        work += primes * (phi * (len(f.coeffs) - f.coeffs.count(0) + 2) + primes)
+        work += 2 * phi * len(zpoly.normalize(f.coeffs))
+        total_bits += bits
+    return work + phi * total_bits**2 // 100_000
+
+
 def factor_check(
     m: int, target: int, factor_strings: Sequence[str], note_norms: bool = False
 ) -> tuple[dict, str | None]:
@@ -321,9 +346,13 @@ def factor_check(
     factor_norms, product, status (exact, unit or mismatch) and diagnostics -
     with the unit, spelled -zeta_m^k, when the match needs one.  A unit match
     carries FACTOR-UNIT-DISCREPANCY, whose message ends in the factor norms
-    when ``note_norms`` is set.
+    when ``note_norms`` is set.  Input over ``FACTOR_WORK_BUDGET`` raises ValueError.
     """
     factors = [cyclotomic.parse_cyclo_element(s, m) for s in factor_strings]
+    work = _factor_work(arith.euler_phi(m), factors)
+    if work > FACTOR_WORK_BUDGET:
+        raise ValueError(f"the factors' norms and product would take about {work} "
+                         f"multiply-adds, above the budget of {FACTOR_WORK_BUDGET}")
     product = cyclotomic.cyclo_mul(cyclotomic.cyclotomic_polynomial(m), factors)
     norms = [f.norm() for f in factors]
     match = cyclotomic.match_up_to_unit(product, target)

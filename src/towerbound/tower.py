@@ -234,7 +234,7 @@ class CyclotomicBase:
         return f"Q(zeta_{self.conductor})^+"
 
     def validate(self, group: GroupSpec) -> list[CheckItem]:
-        items = [
+        return [
             CheckItem(
                 "base-is-imaginary",
                 self.conductor >= 3,
@@ -242,7 +242,7 @@ class CyclotomicBase:
             ),
             CheckItem(
                 "base-galois-group-cyclic",
-                cyclotomic.unit_group_is_cyclic(self.conductor),
+                bool(arith.unit_generators(self.conductor)),
                 f"(Z/{self.conductor})* must be cyclic",
             ),
             CheckItem(
@@ -255,35 +255,18 @@ class CyclotomicBase:
                 self.degree == 2 * group.dimension,
                 f"phi({self.conductor}) = {self.degree}, need 2 * {group.dimension}",
             ),
-        ]
-        items.append(
             CheckItem(
                 "unique-prime-above-p",
-                # only for prime p: at p = 1 the p-part loop below never ends
-                arith.is_prime(group.p) and self._unique_prime_above(group.p),
+                _single_place_degree(group.p, self.conductor) > 0,
                 f"p = {group.p} must have a single place in {self.describe()}",
-            )
-        )
-        return items
-
-    def _unique_prime_above(self, p: int) -> bool:
-        c = self.conductor
-        if c % p == 0:
-            # Remove the p-part; p is totally ramified through it.  A single
-            # place remains iff p generates the residues mod the prime-to-p part.
-            rest = _prime_to(c, p)
-            if rest == 1:
-                return True
-            try:
-                return arith.mult_order(p, rest) == arith.euler_phi(rest)
-            except arith.NotCoprime:  # pragma: no cover - rest is prime to p
-                return False
-        return cyclotomic.is_inert(p, c)
+            ),
+        ]
 
     @property
     def classes(self) -> tuple[int, frozenset[int]]:
         """(N, the classes mod N of the qualifying primes); see prime_qualifies."""
-        return _generator_classes(self.conductor)
+        n = self.conductor if self.conductor > 2 else 1  # Q(zeta_2) = Q
+        return n, arith.unit_generators(n)
 
     def prime_qualifies(self, q: int) -> bool:
         """Whether the prime ``q`` is inert in Q(zeta_c), as the selection wants.
@@ -297,30 +280,17 @@ class CyclotomicBase:
         return q % n in residues
 
 
-def _prime_to(n: int, p: int) -> int:
-    """``n`` with every factor ``p`` divided out; ``p`` must be prime."""
-    while n and n % p == 0:
-        n //= p
-    return n
+def _single_place_degree(p: int, c: int) -> int:
+    """The residue degree of the single place above ``p`` in Q(zeta_c); 0 if none.
 
-
-@functools.cache
-def _generator_classes(c: int) -> tuple[int, frozenset[int]]:
-    # The generators of (Z/c)* are g^k for one generator g and k prime to
-    # phi(c): O(phi(c)) products, and an empty set when the group is not cyclic.
-    if c <= 2:
-        return 1, frozenset({0})
-    if not cyclotomic.unit_group_is_cyclic(c):
-        return c, frozenset()
-    phi = arith.euler_phi(c)
-    g = next(a for a in range(2, c)
-             if math.gcd(a, c) == 1 and arith.mult_order(a, c) == phi)
-    powers, x = [], 1
-    for k in range(phi):
-        if math.gcd(k, phi) == 1:
-            powers.append(x)
-        x = x * g % c
-    return c, frozenset(powers)
+    With r the prime-to-p part of c, a prime p is totally ramified in
+    Q(zeta_(c/r)) and has residue degree ord_r(p) in Q(zeta_r), so it has a
+    single place iff it generates (Z/r)* (Washington, Thm 2.13), of degree phi(r).
+    """
+    if not arith.is_prime(p):  # the law is for primes: p = 0 or 1 would pass it at c = 1
+        return 0
+    r = c // p ** arith.factorize(c).get(p, 0)
+    return arith.euler_phi(r) if p % r in arith.unit_generators(r) else 0
 
 
 @dataclass(frozen=True)
@@ -385,7 +355,7 @@ class RelativeCubicBase:
             CheckItem(
                 "checklist-present",
                 self.class_number is not None,
-                "a relative base needs its hypothesis checklist",
+                "a relative base needs its class number",
             ),
         ]
         if self.class_number is not None:
@@ -400,15 +370,16 @@ class RelativeCubicBase:
         """
         c, f = self.base_conductor, self.cubic_conductor
         roots = c % p == 0
-        # With c a power of p, p is totally ramified in Q(zeta_c).  The cubic
-        # field has conductor f != p, so p is unramified there, and by the
-        # Artin map it is inert iff it is not a cube mod f.  Then a single
-        # prime, of residue degree 3, lies above p.  Z[theta] is the maximal
-        # order (disc = f^2 is the field discriminant), so by Dedekind's
-        # criterion this is the cubic staying irreducible mod p.
+        # p stays inert in the cubic field (conductor f != p) iff it is not a
+        # cube mod f, by the Artin map, and over the single place above p in
+        # Q(zeta_c) iff also 3 does not divide that place's residue degree d
+        # (0 if none): F_(p^d) contains F_(p^3) iff 3 | d (Lidl & Niederreiter,
+        # Finite Fields, Thm 3.46).  Z[theta] is the maximal order (disc = f^2),
+        # so by Dedekind's criterion this is the cubic staying irreducible mod p.
+        d = _single_place_degree(p, c)
         unique = (
-            arith.is_prime(p) and _prime_to(c, p) == 1 and f is not None
-            and p % f != 0 and pow(p, (f - 1) // 3, f) != 1
+            d % 3 != 0 and f is not None and p % f != 0
+            and pow(p, (f - 1) // 3, f) != 1
         )
         p_part_trivial = h % p != 0
         shape = "cyclic of order" if arith.is_prime(h) else "of order"
@@ -430,10 +401,11 @@ class RelativeCubicBase:
             CheckItem(
                 "checklist:unique-prime-above-p",
                 unique,
-                f"{p} is totally ramified through the cyclotomic part and the "
-                f"cubic stays irreducible in the residue field "
-                f"(disc = {f * f} is prime to {p}) [computed-here]" if unique else
-                f"not established: needs conductor {c} a power of {p}, "
+                f"{p} has a single place in Q(zeta_{c}), of residue degree {d} "
+                f"prime to 3, and the cubic stays irreducible in its residue "
+                f"field (disc = {f * f} is prime to {p}) [computed-here]" if unique
+                else f"not established: needs {p} to generate (Z/r)* for r the "
+                f"prime-to-{p} part of conductor {c}, 3 not dividing phi(r), "
                 f"disc = f^2 for a prime f = 1 (mod 3) other than {p}, and {p} "
                 f"not a cube mod f [computed-here]",
             ),

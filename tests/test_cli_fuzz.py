@@ -21,7 +21,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 VALUES = ["-3", "-1", "0", "1", "2", "4", "7", "9", str(10**18 + 3), str(10**50),
           "x", ""]
 RANKS = ["-1", "0", "1", "2", "5"]
-FACTORS = ["1", "zeta+1", "2*zeta^3 - 1", "zeta5+1", "x", "", "7" * 4401]
+FACTORS = ["1", "zeta+1", "2*zeta^3 - 1", "zeta5+1", "x", "", "7" * 4401,
+           "9" * 4000 + "*zeta^2 - 1"]
 EXAMPLES = ["example1", "example2", "example3", "all", "example9"]
 SUBCOMMANDS = (
     "reproduce", "construct", "verify-factorization", "split", "inert-primes",
@@ -277,6 +278,25 @@ def test_dense_factor_at_the_conductor_cap_fits_the_budget(run_cli):
     assert code == 1, err  # 1 + zeta^-1 is a unit but not a root of unity
     assert "factors: 1 (norms: 1)\n" in out
     assert "status: mismatch\n" in out
+
+
+@pytest.mark.parametrize("conductor, factors", [
+    # a dense norm: 10^40 on zeta^498 took 61 s, and 10^1200 on zeta^100 21 s
+    (499, [f"1{'0' * 40}*zeta499^498 + 1"]),
+    (101, [f"1{'0' * 1200}*zeta101^100 + 1"]),
+    # a sparse norm over 7900 word primes, whose CRT steps took 8.6 s
+    (101, [f"1{'0' * 1500}*zeta101 + 1"]),
+    # 300 cheap norms, but product steps that took 12 s
+    (499, ["zeta499^497 + 1"] * 300),
+], ids=["dense-499", "dense-101", "sparse-101", "many-499"])
+def test_factors_past_the_work_budget_are_malformed_at_once(run_cli, conductor, factors):
+    argv = ["verify-factorization", "--conductor", str(conductor), "--target", "1"]
+    with _deadline(1):
+        code, out, err = run_cli(*argv, *(a for f in factors for a in ("--factor", f)))
+    assert (code, out) == (2, "")
+    assert err.startswith("verify-factorization: the factors' norms and product "
+                          "would take about "), err
+    assert err.endswith(" multiply-adds, above the budget of 25000000\n"), err
 
 
 def test_ceiling_above_the_default_is_malformed_at_once(run_cli):

@@ -5,6 +5,7 @@ import pytest
 
 from towerbound import arith, zpoly
 from towerbound.cyclotomic import (
+    _translate_marks,
     CycloElement,
     ElementParseError,
     ModulusMismatch,
@@ -12,12 +13,10 @@ from towerbound.cyclotomic import (
     RamifiedPrime,
     cyclotomic_polynomial,
     cyclo_mul,
-    is_inert,
     match_up_to_unit,
     parse_cyclo_element,
     primes_above,
     splitting_data,
-    unit_group_is_cyclic,
 )
 
 
@@ -282,6 +281,47 @@ def test_parse_rejects():
             parse_cyclo_element(bad, 7)
 
 
+_UNSUB = {s: d for d, s in zip("0123456789", "₀₁₂₃₄₅₆₇₈₉")}
+_UNSUP = {s: d for d, s in zip("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")}
+
+
+def _translate_marks_loop(s):
+    """Reference: rewrite sub/superscript runs into ``{sub}``/``^`` one character at a time."""
+    out = []
+    i = 0
+    while i < len(s):
+        ch = s[i]
+        if ch in _UNSUB:
+            run = []
+            while i < len(s) and s[i] in _UNSUB:
+                run.append(_UNSUB[s[i]])
+                i += 1
+            out.append("{" + "".join(run) + "}")
+            continue
+        if ch in _UNSUP:
+            run = []
+            while i < len(s) and s[i] in _UNSUP:
+                run.append(_UNSUP[s[i]])
+                i += 1
+            out.append("^" + "".join(run))
+            continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+def test_translate_marks_matches_the_character_loop():
+    # Seeded strings over everything the grammar and its neighbours use:
+    # digits, sub- and superscripts, zeta in both spellings, the three minus
+    # signs, the operators and spaces.
+    alphabet = ["0", "1", "7", "9", "₀", "₁", "₇", "₉", "⁰", "¹", "²", "³", "⁴",
+                "⁹", "ζ", "zeta", "-", "−", "–", "+", "*", "^", "{", "}", " "]
+    rng = random.Random(2026)
+    for _ in range(20_000):
+        s = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        assert _translate_marks(s) == _translate_marks_loop(s), s
+
+
 def test_parse_rejects_numbers_too_long_to_read():
     # 4401 digits is past CPython's default int-from-text limit of 4300.
     long = "7" * 4401
@@ -295,11 +335,14 @@ def test_parse_rejects_numbers_too_long_to_read():
 
 
 def test_unit_group_is_cyclic_matches_element_orders():
-    # (Z/m)* is cyclic iff some unit's order equals its size phi(m).
+    # The generators of (Z/m)* are the units whose order is its size phi(m);
+    # there are none when the group is not cyclic.  Mod 1 the unit is 0.
     for m in range(1, 200):
-        units = [a for a in range(1, m + 1) if math.gcd(a, m) == 1]
-        cyclic = any(arith.mult_order(a, m) == len(units) for a in units)
-        assert unit_group_is_cyclic(m) == cyclic, m
+        units = [a for a in range(m) if math.gcd(a, m) == 1]
+        generators = {a for a in units if arith.mult_order(a, m) == len(units)}
+        assert arith.unit_generators(m) == generators, m
+    with pytest.raises(ValueError):
+        arith.unit_generators(0)
 
 
 def test_splitting_data_known_cases():
@@ -335,7 +378,7 @@ def test_is_inert_matches_primitive_root():
                 continue
             brute = {pow(q, k, m) for k in range(arith.euler_phi(m))}
             expected = len(brute) == arith.euler_phi(m)
-            assert is_inert(q, m) == expected
+            assert (splitting_data(q, m).g == 1) == expected
 
 
 def test_primes_above_split_case():

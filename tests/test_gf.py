@@ -309,23 +309,36 @@ def test_a_class_table_implies_an_irreducible_cubic():
 
 
 def test_unique_prime_item_matches_the_rabin_test():
-    # With the conductor a power of p, a single prime lies above p iff the
-    # cubic stays irreducible mod p; the item decides that by the Artin map.
+    # Oracle: one prime lies above p iff p has one place in Q(zeta_c), of
+    # residue degree prime to 3, and the cubic stays irreducible mod p.  The
+    # place count and degree are those of p in Q(zeta_r), r the prime-to-p
+    # part of c, by splitting_data.  Every c = p * k, k < 40, for p < 60,
+    # then c = p up to 2000; the item decides by unit_generators and the
+    # Artin map.
     primes = [p for p in range(2, 2000) if arith.is_prime(p)]
+    composite = 0
     for cubic, _ in RELATIVE_CUBICS[:2]:
         f = RelativeCubicBase(base_conductor=1, poly=cubic).cubic_conductor
         seen = set()
         for p in primes:
             if p == f:
                 continue
-            base = RelativeCubicBase(base_conductor=p, poly=cubic, class_number=1)
-            got = next(i.ok for i in base.validate(_order_3_group(p))
-                       if i.name == "checklist:unique-prime-above-p")
-            assert got == is_irreducible(PrimeField(p), [c % p for c in cubic]), (
-                cubic, p,
-            )
-            seen.add(got)
+            irreducible = is_irreducible(PrimeField(p), [c % p for c in cubic])
+            for c in (p * k for k in range(1, 40 if p < 60 else 2)):
+                r = c
+                while r % p == 0:
+                    r //= p
+                sd = cyclotomic.splitting_data(p, r)
+                base = RelativeCubicBase(base_conductor=c, poly=cubic, class_number=1)
+                got = next(i.ok for i in base.validate(_order_3_group(p))
+                           if i.name == "checklist:unique-prime-above-p")
+                assert got == (sd.g == 1 and math.gcd(3, sd.f) == 1 and irreducible), (
+                    cubic, c, p,
+                )
+                seen.add(got)
+                composite += p < 60
         assert seen == {True, False}, cubic
+    assert composite == 1248
 
 
 # ---------------------------------------------------------------------------

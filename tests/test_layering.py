@@ -41,5 +41,32 @@ def test_tower_selects_primes_without_gf():
     assert "gf" not in _package_imports("tower")
 
 
+def _used_names(module: str) -> tuple[set[str], set[str]]:
+    """(names ``module`` reads off ``cyclotomic.``, every name and attribute it uses)."""
+    tree = ast.parse((PKG / f"{module}.py").read_text(encoding="utf-8"))
+    via, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            used.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id == "cyclotomic":
+                via.add(node.attr)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.ImportFrom) and node.module == "cyclotomic":
+            via.update(alias.name for alias in node.names)
+    return via, used
+
+
+def test_tower_decides_splitting_without_its_checking_route():
+    # Selection and validation read arith.unit_generators; splitting_data,
+    # which runs mult_order, is the independent route that checks both, so
+    # tower runs no mult_order and takes from cyclotomic only the places
+    # above a split prime.  Requiring primes_above keeps the rule from
+    # passing on a reader that finds nothing.
+    via, used = _used_names("tower")
+    assert via == {"primes_above"}
+    assert "mult_order" not in used
+
+
 def test_report_imports_only_the_formatters():
     assert _package_imports("report") <= {"arith", "zpoly"}

@@ -114,22 +114,49 @@ def test_bundled_base_validates_its_own_hypotheses():
          "f = 1 (mod 3) prime to the conductor"),
         ("base-supplies-p-roots", True,
          "conductor 7 must be divisible by p = 7 to supply its roots of unity"),
-        ("checklist-present", True, "a relative base needs its hypothesis checklist"),
+        ("checklist-present", True, "a relative base needs its class number"),
         ("checklist:totally-imaginary", True,
          "the cyclotomic subfield has no real places, so neither does any "
          "extension of it [computed-here]"),
         ("checklist:contains-p-th-roots", True,
          "conductor 7 supplies the 7th roots of unity [computed-here]"),
         ("checklist:unique-prime-above-p", True,
-         "7 is totally ramified through the cyclotomic part and the cubic "
-         "stays irreducible in the residue field (disc = 169 is prime to 7) "
-         "[computed-here]"),
+         "7 has a single place in Q(zeta_7), of residue degree 1 prime to 3, "
+         "and the cubic stays irreducible in its residue field (disc = 169 is "
+         "prime to 7) [computed-here]"),
         ("checklist:class-group-p-part-trivial", True,
          "the class group is cyclic of order 13 per standard tables; its "
          "7-part is trivial [external-database]"),
         ("derived:p-rational", True,
          "follows from the roots-of-unity, unique-prime and class-group items"),
     ]
+
+
+def test_unique_prime_above_p_over_a_conductor_with_another_prime():
+    # Q(zeta_14) = Q(zeta_7): 7 keeps its single place of residue degree 1,
+    # so every item holds.  Over conductor 21, 3 generates (Z/7)* and the
+    # cubic is irreducible mod 3, but the place's residue field F_(3^6)
+    # contains F_(3^3), where the cubic splits.
+    assert all(i.ok for i in _cubic(conductor=14).validate(NILPOTENT))
+    three = GroupSpec(p=3, dimension=3, action_order=3, family=FAMILY_NILPOTENT,
+                      twist_exponent=1)
+    failed = [i.name for i in _cubic(conductor=21).validate(three) if not i.ok]
+    assert failed == ["checklist:unique-prime-above-p", "derived:p-rational"]
+
+
+def test_cyclotomic_unique_prime_item_matches_splitting_data():
+    # Oracle: p has g places in Q(zeta_c), where g is its number of places in
+    # Q(zeta_r), r the prime-to-p part of c, as splitting_data computes it.
+    primes = [p for p in range(2, 200) if arith.is_prime(p)]
+    for c in range(1, 501):
+        base = CyclotomicBase(c)
+        for p in primes:
+            r = c
+            while r % p == 0:
+                r //= p
+            got = next(i.ok for i in base.validate(GroupSpec(p, 1, 2))
+                       if i.name == "unique-prime-above-p")
+            assert got == (cyclotomic.splitting_data(p, r).g == 1), (c, p)
 
 
 def test_build_plan_smallest_case():
@@ -313,7 +340,7 @@ def test_bundled_cubic_qualifies_by_residue_class_below_a_million():
 
 def _inert_or_false(q, m):
     try:
-        return cyclotomic.is_inert(q, m)
+        return cyclotomic.splitting_data(q, m).g == 1
     except cyclotomic.RamifiedPrime:
         return False
 
