@@ -87,6 +87,12 @@ def fine_selmer_lower(
     """
     if n < 0:
         raise ValueError("layer must be >= 0")
+    base = _fine_rank_target(plan, av) * plan.min_characteristic**n
+    return FineSelmerBound(claimed=base, conservative=max(base - 2 * av.dimension, 0))
+
+
+def _fine_rank_target(plan: TowerPlan, av: AbelianVarietyDesc) -> int:
+    """The plan's fine rank target, once both fine-Selmer preconditions hold."""
     if plan.gap_inflation is None:
         raise PlanNotInflated(
             "plan was built without a declared gap rank; rebuild with gap_rank set"
@@ -95,11 +101,7 @@ def fine_selmer_lower(
         raise TorsionHypothesisUnmet(
             f"{av.label} has no rational torsion point of order {plan.ell}"
         )
-    q = plan.min_characteristic
-    base = plan.gap_inflation.fine_rank_target * q**n
-    claimed = base
-    conservative = max(base - 2 * av.dimension, 0)
-    return FineSelmerBound(claimed=claimed, conservative=conservative)
+    return plan.gap_inflation.fine_rank_target
 
 
 @dataclass(frozen=True)
@@ -140,6 +142,27 @@ class BoundCertificate:
     to_text_lines = report.certificate_lines
 
 
+#: The most decimal digits :func:`build_certificate` puts in its rows, as
+#: :func:`_row_digits` estimates them before building any: about 1 s to build
+#: and render in CPython 3.11 on a 2-core host.  The largest bundled
+#: certificate, example3 at n_max = 1000, holds about 2.2 M.
+CERTIFICATE_DIGIT_BUDGET = 5_000_000
+
+
+def _row_digits(n_max: int, columns: list[tuple[int, int]]) -> int:
+    """Digits, at most, in the cells c * b^n, n = 0..n_max, of the (c, b) columns.
+
+    As c < 2^bits(c) and b <= 2^bits(b - 1), a cell has at most
+    (bits(c) + n * bits(b - 1)) * log10(2) + 1 digits.
+    """
+    bits = sum(
+        (n_max + 1) * c.bit_length() + n_max * (n_max + 1) // 2 * (b - 1).bit_length()
+        for c, b in columns
+        if c
+    )
+    return bits * 30103 // 100_000 + (n_max + 1) * len(columns)
+
+
 def build_certificate(
     plan: TowerPlan,
     av: AbelianVarietyDesc | None = None,
@@ -149,7 +172,9 @@ def build_certificate(
 
     Class-group columns are always present.  Fine-Selmer columns appear when
     an abelian variety is supplied, which requires the plan to carry a
-    declared gap rank; the certificate states that rank.
+    declared gap rank; the certificate states that rank.  Rows whose digits
+    would exceed ``CERTIFICATE_DIGIT_BUDGET`` raise ValueError before any is
+    built.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -181,15 +206,13 @@ def build_certificate(
     diagnostics: list[Diagnostic] = list(plan.diagnostics)
 
     gap_rank: int | None = None
-    fine = av is not None
-    if fine:
-        if plan.gap_inflation is None:
-            raise PlanNotInflated(
-                "plan was built without a declared gap rank; rebuild with gap_rank set"
-            )
+    # each column's cells are c * b^n: ramified, degree, ambiguous, class rank
+    columns = [(c, plan.p) for c in (plan.ramified_target, d0, net, net)]
+    if av is not None:
+        n_fine = _fine_rank_target(plan, av)
         gap_rank = plan.gap_inflation.gap_rank
         q = plan.min_characteristic
-        n_fine = plan.gap_inflation.fine_rank_target
+        columns += [(n_fine, q), (n_fine, q)]
         trace.append(
             TraceStep(
                 "variant-gap",
@@ -247,15 +270,22 @@ def build_certificate(
                 )
             )
 
+    digits = _row_digits(n_max, columns)
+    if digits > CERTIFICATE_DIGIT_BUDGET:
+        raise ValueError(f"the rows up to layer {n_max} would hold about {digits} "
+                         f"digits, above the budget of {CERTIFICATE_DIGIT_BUDGET}")
+
     rows: list[CertificateRow] = []
+    p_n = q_n = 1  # p^n and, for the fine columns, min(ell, p)^n
     for n in range(n_max + 1):
-        ram = plan.ramified_lower(n)
-        deg = plan.degree_lower(n)
+        ram = plan.ramified_target * p_n
+        deg = d0 * p_n
         amb = ambiguous_lower(ram, deg)
         claimed = conservative = None
-        if fine:
-            assert av is not None
-            claimed, conservative = fine_selmer_lower(plan, av, n)
+        if av is not None:
+            claimed = n_fine * q_n
+            conservative = max(claimed - 2 * av.dimension, 0)
+            q_n *= q
         rows.append(
             CertificateRow(
                 layer=n,
@@ -267,6 +297,7 @@ def build_certificate(
                 fine_conservative=conservative,
             )
         )
+        p_n *= plan.p
 
     return BoundCertificate(
         av=av,

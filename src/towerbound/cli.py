@@ -9,7 +9,8 @@ exception through ``_EXIT_CODES`` to one ``<command>: <reason>`` line on
 stderr: ValidationFailed (then its failed items), SearchExhausted and
 EqualPrimes exit 1; ValueError (parse errors included) and OSError (say, an
 unwritable --out) exit 2.  The parser exits 2 on out-of-range numbers:
---n-max must lie in [0, 1000], a cap on the certificate's rows; conductors
+--n-max must lie in [0, 1000], a cap on the certificate's rows, whose digits
+bounds.CERTIFICATE_DIGIT_BUDGET also caps (exit 2); conductors
 must lie in [1, MAX_CONDUCTOR]; --count must be >= 0; and inert-primes
 --ceiling must lie in [0, arith.DEFAULT_SEARCH_CEILING] (10^7), which bounds
 the scan.  No argv ends in a traceback, which tests/test_cli_fuzz.py checks

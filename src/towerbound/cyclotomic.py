@@ -161,7 +161,7 @@ class CycloElement:
         terms = [(i, c) for i, c in enumerate(self.coeffs) if c]
         if not terms:
             return 0
-        units = [k for k in range(m) if math.gcd(k, m) == 1]
+        units = _units(m)
         bound = 2 * sum(abs(c) for _, c in terms) ** self.modulus.phi
         residue, modulus = 0, 1
         primes = _word_primes(m)
@@ -195,6 +195,17 @@ def cyclo_mul(mod: CycloModulus, factors: Iterable[CycloElement]) -> CycloElemen
     return acc
 
 
+@lru_cache(maxsize=None)
+def _units(m: int) -> tuple[int, ...]:
+    """The k in [0, m) prime to m: omega^k runs over the roots of Phi_m."""
+    return tuple(k for k in range(m) if math.gcd(k, m) == 1)
+
+
+@lru_cache(maxsize=None)
+def _prime_divisors(m: int) -> tuple[int, ...]:
+    return tuple(arith.factorize(m))
+
+
 def _root_of_unity(m: int, q: int) -> int:
     """A primitive m-th root of unity modulo the prime q > 2, q = 1 (mod m).
 
@@ -202,7 +213,7 @@ def _root_of_unity(m: int, q: int) -> int:
     once omega^(m/r) != 1 for every prime r | m.
     """
     e = (q - 1) // m
-    prime_divisors = tuple(arith.factorize(m))
+    prime_divisors = _prime_divisors(m)
     for x in range(2, q):
         omega = pow(x, e, q)
         if all(pow(omega, m // r, q) != 1 for r in prime_divisors):
@@ -449,5 +460,5 @@ def primes_above(q: int, m: int) -> tuple[PrimeAbove, ...]:
         roots = [1]
     else:
         omega = _root_of_unity(m, q)
-        roots = sorted(pow(omega, k, q) for k in range(m) if math.gcd(k, m) == 1)
+        roots = sorted(pow(omega, k, q) for k in _units(m))
     return tuple(PrimeAbove(q=q, m=m, root=r) for r in roots)

@@ -258,10 +258,10 @@ def _reproduction_lines(d: dict) -> list[str]:
                 f"  parameters: ell={p.ell} p={p.p} rank-target={p.rank_target} "
                 f"group={p.group.describe()} base={p.base.describe()}"
             )
+            places = len(p.selected_primes) * p.base.places_per_prime
             lines.append(
-                f"  selection: {len(p.selected_primes)} primes, "
-                f"{len(p.selected_places)} places, alpha has "
-                f"{len(format_decimal(p.alpha))} digits"
+                f"  selection: {len(p.selected_primes)} primes, {places} places, "
+                f"alpha has {len(format_decimal(p.alpha))} digits"
             )
         lines.append("  checks:")
         for c in r.checks:

@@ -169,7 +169,7 @@ def _check_prime_qualification(fx: Fixture, plan: TowerPlan) -> CheckResult:
             bad.append(f"{q} does not stay inert in the relative step")
     if bad:
         return CheckResult("prime-qualification", FAIL, "; ".join(bad))
-    places = len(plan.selected_places)
+    places = len(plan.selected_primes) * plan.base.places_per_prime
     return CheckResult(
         "prime-qualification",
         PASS,

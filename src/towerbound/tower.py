@@ -515,7 +515,12 @@ class GapInflation:
 
 @dataclass(frozen=True)
 class TowerPlan:
-    """A fully validated construction plan with its selected data."""
+    """A fully validated construction plan with its selected data.
+
+    Its places are derived on first read of :attr:`selected_places`, since
+    only JSON prints them; a count is ``len(selected_primes) *
+    base.places_per_prime``.
+    """
 
     ell: int
     p: int
@@ -526,20 +531,25 @@ class TowerPlan:
     ramified_target: int
     ramified_target_formula: int
     selected_primes: tuple[int, ...]
-    selected_places: tuple[PlaceRef, ...]
     alpha: int
     gap_inflation: GapInflation | None
     first_effective_layer: int
     validation: ValidationReport
     diagnostics: tuple[Diagnostic, ...]
 
-    # -- per-layer bookkeeping ----------------------------------------
+    @functools.cached_property
+    def selected_places(self) -> tuple[PlaceRef, ...]:
+        """One place per prime, or per root of Phi_c mod q over a relative base."""
+        if self.base.places_per_prime == 1:
+            return tuple(PlaceRef(q) for q in self.selected_primes)
+        m = self.base.cyclotomic_conductor
+        return tuple(
+            PlaceRef(q, pr.root)
+            for q in self.selected_primes
+            for pr in cyclotomic.primes_above(q, m)
+        )
 
-    def ramified_lower(self, n: int) -> int:
-        """Ramified places of the Kummer step at tower layer n (lower bound)."""
-        if n < 0:
-            raise ValueError("layer must be >= 0")
-        return self.ramified_target * self.p**n
+    # -- per-layer bookkeeping ----------------------------------------
 
     def degree_lower(self, n: int) -> int:
         """Degree of layer n of the Kummer tower over the rationals.
@@ -664,14 +674,6 @@ def build_tower_plan(
     if not report.passed:
         raise ValidationFailed(report)
 
-    places: list[PlaceRef] = []
-    for q in primes:
-        if ppp == 1:
-            places.append(PlaceRef(q=q))
-        else:
-            for pr in cyclotomic.primes_above(q, base.cyclotomic_conductor):
-                places.append(PlaceRef(q=q, root=pr.root))
-
     alpha = arith.mul_many(primes)
 
     return TowerPlan(
@@ -684,7 +686,6 @@ def build_tower_plan(
         ramified_target=target,
         ramified_target_formula=formula,
         selected_primes=tuple(primes),
-        selected_places=tuple(places),
         alpha=alpha,
         gap_inflation=gap_inflation,
         first_effective_layer=_first_effective_layer(base, group),

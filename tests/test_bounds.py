@@ -1,9 +1,13 @@
+import json
+
 import pytest
 
+from towerbound import arith
 from towerbound.bounds import (
     AbelianVarietyDesc,
     PlanNotInflated,
     TorsionHypothesisUnmet,
+    _row_digits,
     ambiguous_lower,
     build_certificate,
     fine_selmer_lower,
@@ -97,3 +101,54 @@ def test_certificate_json_rows_are_numbers_at_desk_scale():
     doc = cert.to_json_doc()
     assert doc["rows"][3]["class_rank_bound"] == 54
     assert doc["rows"][0]["fine_selmer_conservative"] == 0
+
+
+@pytest.mark.parametrize("fid", ["example1", "example2", "example3"])
+def test_certificate_rows_at_n_max_1000_match_closed_forms(run_cli, fid):
+    fx, plan = get_fixture(fid), build_plan(fid)
+    g, t, p = plan.group, plan.ramified_target, plan.p
+    d0 = g.action_order * plan.ell * (plan.ell - 1) * g.dimension
+    code, out, err = run_cli("certificate", fid, "--n-max", "1000", "--json")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 1001
+    for n, row in enumerate(rows):
+        want = {
+            "layer": n,
+            "ramified_places": t * p**n,
+            "layer_degree": d0 * p**n,
+            "ambiguous_bound": max(t - d0, 0) * p**n,
+            "class_rank_bound": max(t - d0, 0) * p**n,
+        }
+        if fx.av is not None:
+            f, q = plan.gap_inflation.fine_rank_target, min(plan.ell, p)
+            want["fine_selmer_claimed"] = f * q**n
+            want["fine_selmer_conservative"] = max(f * q**n - 2 * fx.av.dimension, 0)
+        assert {k: int(v) for k, v in row.items()} == want, n
+
+
+@pytest.mark.parametrize(
+    "fid, p, n_max",
+    [("example1", None, 1000), ("example2", None, 1000), ("example3", None, 1000),
+     ("example1", 2, 1000), ("example1", 10**60 + 7, 150)],
+)
+def test_row_digit_estimate_bounds_the_digits_built(fid, p, n_max):
+    plan, av = build_plan(fid), get_fixture(fid).av
+    if p is not None:  # the fixture's ell over Q(zeta_4) or Q(zeta_3)
+        group = GroupSpec(p=p, dimension=1, action_order=2)
+        plan = build_tower_plan(plan.ell, group, CyclotomicBase(4 if p == 2 else 3), 2)
+        av = None
+    cert = build_certificate(plan, av=av, n_max=n_max)
+    built = sum(
+        len(arith.format_decimal(v))
+        for r in cert.rows
+        for v in (r.ramified_places, r.layer_degree, r.ambiguous_bound,
+                  r.class_rank_bound, r.fine_claimed, r.fine_conservative)
+        if v is not None
+    )
+    top = cert.rows[0]  # each column's cells are its layer-0 cell times b^n
+    columns = [(c, plan.p) for c in (top.ramified_places, top.layer_degree,
+                                     top.ambiguous_bound, top.class_rank_bound)]
+    if av is not None:
+        columns += [(top.fine_claimed, min(plan.ell, plan.p))] * 2
+    assert built <= _row_digits(n_max, columns) <= 1.3 * built

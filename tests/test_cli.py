@@ -6,7 +6,7 @@ import time
 
 from test_golden import GOLDEN
 from test_golden import SIX_FACTORS as QUOTED_SIX_FACTORS
-from towerbound import report
+from towerbound import cyclotomic, report
 from towerbound.fixtures import get_fixture
 
 SIX_FACTORS = get_fixture("example3").factor_strings
@@ -169,6 +169,39 @@ def test_construct_bundled_cubic(run_cli):
     assert doc["plan"]["ramified_target"] == 60
     # derived ascending-minimal selection, not the pinned list
     assert doc["plan"]["selected_primes"][:3] == [29, 43, 71]
+
+
+CUBIC_CONSTRUCT = (
+    "construct", "--ell", "3", "--p", "7", "--dimension", "3",
+    "--family", "nilpotent-class-2", "--twist-exponent", "1",
+    "--base", "bundled-cubic",
+)
+
+
+def test_text_cubic_output_finds_no_roots(run_cli, monkeypatch):
+    # Text prints no places, only their count, so it never derives them.
+    want = run_cli(*CUBIC_CONSTRUCT, "--rank-target", "300")
+    assert want[0] == 0, want[2]
+
+    def no_roots(q, m):
+        raise AssertionError(f"primes_above({q}, {m}) called")
+
+    monkeypatch.setattr(cyclotomic, "primes_above", no_roots)
+    assert run_cli(*CUBIC_CONSTRUCT, "--rank-target", "300") == want
+    code, out, err = run_cli("reproduce", "example3")
+    assert code == 0, err
+    assert "selection: 10 primes, 60 places," in out
+
+
+def test_json_cubic_places_are_the_roots_of_phi7(run_cli):
+    code, out, err = run_cli(*CUBIC_CONSTRUCT, "--rank-target", "30", "--json")
+    assert code == 0, err
+    plan = json.loads(out)["plan"]
+    primes = plan["selected_primes"]
+    # Oracle: scan every residue; the roots of Phi_7 mod q are the r != 1 with r^7 = 1.
+    roots = {q: [r for r in range(2, q) if pow(r, 7, q) == 1] for q in primes}
+    assert all(len(rs) == 6 for rs in roots.values())
+    assert plan["selected_places"] == [{"q": q, "root": r} for q in primes for r in roots[q]]
 
 
 def test_usage_error_exits_2(run_cli):

@@ -21,6 +21,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 VALUES = ["-3", "-1", "0", "1", "2", "4", "7", "9", str(10**18 + 3), str(10**50),
           "x", ""]
 RANKS = ["-1", "0", "1", "2", "5"]
+# A prime = 2 (mod 3) whose certificate at --n-max 1000 is over the digit budget.
+P61 = str(10**60 + 7)
 FACTORS = ["1", "zeta+1", "2*zeta^3 - 1", "zeta5+1", "x", "", "7" * 4401,
            "9" * 4000 + "*zeta^2 - 1"]
 EXAMPLES = ["example1", "example2", "example3", "all", "example9"]
@@ -63,7 +65,7 @@ def _argv(rng, outs):
         argv += [rng.choice(EXAMPLES)] + _maybe(rng, "--n-max", ("1", "4", "1000"))
     elif cmd == "construct":
         argv += _maybe(rng, "--ell", ("3", "5", "7"), 0.9)
-        argv += _maybe(rng, "--p", ("2", "3", "7"), 0.9)
+        argv += _maybe(rng, "--p", ("2", "3", "7", P61), 0.9)
         argv += ["--rank-target", rng.choice(RANKS)] if rng.random() < 0.9 else []
         argv += _maybe(rng, "--dimension", ("1", "2", "3"), 0.5)
         argv += _maybe(rng, "--conductor", ("3", "5", "7", "9"))
@@ -72,7 +74,7 @@ def _argv(rng, outs):
         argv += _maybe(rng, "--twist-exponent", ("1", "2"), 0.3)
         argv += ["--gap-rank", rng.choice(RANKS)] if rng.random() < 0.3 else []
         argv += _maybe(rng, "--av", ("11a1", "19a1"), 0.2)
-        argv += _maybe(rng, "--n-max", ("1", "4"), 0.4)
+        argv += _maybe(rng, "--n-max", ("1", "4", "1000"), 0.4)
     elif cmd == "verify-factorization":
         argv += _maybe(rng, "--conductor", ("3", "7", "9"), 0.9)
         argv += _maybe(rng, "--target", ("1", "7"), 0.9)
@@ -172,6 +174,18 @@ def test_n_max_1000_is_accepted(run_cli):
     code, out, _ = run_cli("certificate", "example1", "--n-max", "1000", "--json")
     assert code == 0
     assert len(json.loads(out)["rows"]) == 1001
+
+
+def test_certificate_past_the_digit_budget_is_malformed_at_once(run_cli):
+    # Its rows would hold about 120 M digits.
+    with _deadline(2):
+        code, out, err = run_cli(
+            "construct", "--ell", "5", "--p", P61, "--conductor", "3",
+            "--rank-target", "2", "--n-max", "1000", "--json",
+        )
+    assert (code, out) == (2, "")
+    assert err.startswith("construct: the rows up to layer 1000 would hold about ")
+    assert err.endswith(" digits, above the budget of 5000000\n")
 
 
 def test_unwritable_out_is_malformed(run_cli, tmp_path):

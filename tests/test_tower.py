@@ -165,9 +165,8 @@ def test_build_plan_smallest_case():
     assert len(plan.selected_primes) == 42
     assert plan.selected_primes[:5] == (2, 5, 11, 17, 23)
     assert 3 not in plan.selected_primes  # p itself never selected
-    assert plan.ramified_lower(0) == 42
     assert plan.degree_lower(0) == 40
-    assert plan.ramified_lower(2) - plan.degree_lower(2) == 2 * 9
+    assert plan.ramified_target * 3**2 - plan.degree_lower(2) == 2 * 9
     assert plan.first_effective_layer == 0
     assert plan.gap_inflation is None
 
