@@ -13,9 +13,7 @@ from .arith import is_prime, mul_many, mult_order, primes_ascending
 from .bounds import (
     AbelianVarietyDesc,
     BoundCertificate,
-    ambiguous_lower,
     build_certificate,
-    fine_selmer_lower,
 )
 from .cyclotomic import (
     CycloElement,
@@ -69,8 +67,6 @@ __all__ = [
     "TowerPlan",
     "build_tower_plan",
     "AbelianVarietyDesc",
-    "ambiguous_lower",
-    "fine_selmer_lower",
     "BoundCertificate",
     "build_certificate",
     "fixture_ids",

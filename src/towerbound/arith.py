@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from functools import lru_cache
 from itertools import chain, compress, filterfalse, islice
 from itertools import count as count_from
@@ -302,5 +303,7 @@ def primes_ascending(
         if classes is not None:
             modulus, residues = classes
             run = (q for q in run if q % modulus in residues)
-        found += islice(filter(predicate, filterfalse(skip, run)), count - len(found))
+        # islice takes at most sys.maxsize; a larger quota exhausts the ceiling first
+        quota = min(count - len(found), sys.maxsize)
+        found += islice(filter(predicate, filterfalse(skip, run)), quota)
     return found

@@ -11,7 +11,6 @@ rule id and the numbers substituted in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import catalog, report
 from .catalog import Diagnostic
@@ -21,9 +20,6 @@ __all__ = [
     "TorsionHypothesisUnmet",
     "PlanNotInflated",
     "AbelianVarietyDesc",
-    "ambiguous_lower",
-    "FineSelmerBound",
-    "fine_selmer_lower",
     "CertificateRow",
     "TraceStep",
     "BoundCertificate",
@@ -50,63 +46,9 @@ class AbelianVarietyDesc:
     provenance: str = "external-database"
 
 
-def ambiguous_lower(ramified_count: int, layer_degree: int) -> int:
-    """Lower bound for the rank of the fixed part of the class group.
-
-    The count of ramified places beats the layer degree by the amount that
-    must survive into the class group; never negative.
-    """
-    if ramified_count < 0 or layer_degree < 1:
-        raise ValueError("need ramified_count >= 0 and layer_degree >= 1")
-    return max(ramified_count - layer_degree, 0)
-
-
-class FineSelmerBound(NamedTuple):
-    """Fine-Selmer lower bounds at one layer: as claimed, and with margins."""
-
-    claimed: int
-    conservative: int
-
-
-def fine_selmer_lower(
-    plan: TowerPlan,
-    av: AbelianVarietyDesc,
-    n: int,
-) -> FineSelmerBound:
-    """Fine-Selmer rank lower bounds at layer n for the given abelian variety.
-
-    Preconditions: the plan must have been built with a declared gap rank
-    (:class:`PlanNotInflated` otherwise), and the variety must have a
-    rational torsion point of order ell (:class:`TorsionHypothesisUnmet`
-    otherwise).
-
-    The claimed column is fine_rank_target * min(ell, p)^n, reading the chain
-    the way the worked examples do; the conservative column additionally
-    subtracts twice the variety's dimension, the margin the comparison with
-    the class group costs in general.
-    """
-    if n < 0:
-        raise ValueError("layer must be >= 0")
-    base = _fine_rank_target(plan, av) * plan.min_characteristic**n
-    return FineSelmerBound(claimed=base, conservative=max(base - 2 * av.dimension, 0))
-
-
-def _fine_rank_target(plan: TowerPlan, av: AbelianVarietyDesc) -> int:
-    """The plan's fine rank target, once both fine-Selmer preconditions hold."""
-    if plan.gap_inflation is None:
-        raise PlanNotInflated(
-            "plan was built without a declared gap rank; rebuild with gap_rank set"
-        )
-    if not av.torsion_at_kummer_prime:
-        raise TorsionHypothesisUnmet(
-            f"{av.label} has no rational torsion point of order {plan.ell}"
-        )
-    return plan.gap_inflation.fine_rank_target
-
-
 @dataclass(frozen=True)
 class CertificateRow:
-    """All certified quantities at a single tower layer."""
+    """All certified quantities at a single tower layer, in column order."""
 
     layer: int
     ramified_places: int
@@ -171,15 +113,16 @@ def build_certificate(
     """Assemble the per-layer certificate for a plan.
 
     Class-group columns are always present.  Fine-Selmer columns appear when
-    an abelian variety is supplied, which requires the plan to carry a
-    declared gap rank; the certificate states that rank.  Rows whose digits
-    would exceed ``CERTIFICATE_DIGIT_BUDGET`` raise ValueError before any is
-    built.
+    an abelian variety is supplied: the plan must carry a declared gap rank
+    (:class:`PlanNotInflated` otherwise), which the certificate states, and
+    the variety a rational torsion point of order ell
+    (:class:`TorsionHypothesisUnmet` otherwise).  Rows whose digits would
+    exceed ``CERTIFICATE_DIGIT_BUDGET`` raise ValueError before any is built.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     g = plan.group
-    d0 = plan.degree_lower(0)
+    d0 = plan.layer_degree
     net = max(plan.ramified_target - d0, 0)
     trace: list[TraceStep] = [
         TraceStep(
@@ -205,35 +148,40 @@ def build_certificate(
     ]
     diagnostics: list[Diagnostic] = list(plan.diagnostics)
 
-    gap_rank: int | None = None
-    # each column's cells are c * b^n: ramified, degree, ambiguous, class rank
+    # The one definition of the rows: each column's cell at layer n is c * b^n,
+    # for its (c, b): ramified, degree, ambiguous and class rank, then the two
+    # fine-Selmer columns, of which the conservative one subtracts 2 * dim.
     columns = [(c, plan.p) for c in (plan.ramified_target, d0, net, net)]
+    gap_rank: int | None = None
     if av is not None:
-        n_fine = _fine_rank_target(plan, av)
-        gap_rank = plan.gap_inflation.gap_rank
-        q = plan.min_characteristic
+        gap_rank = plan.gap_rank
+        if gap_rank is None:
+            raise PlanNotInflated(
+                "plan was built without a declared gap rank; rebuild with gap_rank set"
+            )
+        if not av.torsion_at_kummer_prime:
+            raise TorsionHypothesisUnmet(
+                f"{av.label} has no rational torsion point of order {plan.ell}"
+            )
+        n_fine, q = plan.rank_target, min(plan.ell, plan.p)
         columns += [(n_fine, q), (n_fine, q)]
-        trace.append(
+        trace += [
             TraceStep(
                 "variant-gap",
                 f"gap between the class-group variants <= "
                 f"2 * {gap_rank} * {plan.ell}^n (declared gap rank {gap_rank})",
-            )
-        )
-        trace.append(
+            ),
             TraceStep(
                 "fine-selmer-chain",
                 f"fine Selmer rank at layer n >= {n_fine} * {q}^n, "
                 f"q = min({plan.ell}, {plan.p}) = {q}",
-            )
-        )
-        trace.append(
+            ),
             TraceStep(
                 "conservative-margin",
                 f"conservative column subtracts 2 * dim = {2 * av.dimension} "
                 f"for the class-group comparison",
-            )
-        )
+            ),
+        ]
         for code, message in (
             (
                 "SCLASS-GAP-DIRECTION",
@@ -276,28 +224,14 @@ def build_certificate(
                          f"digits, above the budget of {CERTIFICATE_DIGIT_BUDGET}")
 
     rows: list[CertificateRow] = []
-    p_n = q_n = 1  # p^n and, for the fine columns, min(ell, p)^n
+    powers = {b: 1 for _, b in columns}  # b^n, one running power per base
     for n in range(n_max + 1):
-        ram = plan.ramified_target * p_n
-        deg = d0 * p_n
-        amb = ambiguous_lower(ram, deg)
-        claimed = conservative = None
+        cells = [c * powers[b] for c, b in columns]
         if av is not None:
-            claimed = n_fine * q_n
-            conservative = max(claimed - 2 * av.dimension, 0)
-            q_n *= q
-        rows.append(
-            CertificateRow(
-                layer=n,
-                ramified_places=ram,
-                layer_degree=deg,
-                ambiguous_bound=amb,
-                class_rank_bound=amb,
-                fine_claimed=claimed,
-                fine_conservative=conservative,
-            )
-        )
-        p_n *= plan.p
+            cells[-1] = max(cells[-1] - 2 * av.dimension, 0)
+        rows.append(CertificateRow(n, *cells))
+        for b in powers:
+            powers[b] *= b
 
     return BoundCertificate(
         av=av,

@@ -129,13 +129,8 @@ class Fixture:
     pinned_ramified_count: int | None = None  # replaces the formula's count
     pins_primes: bool = False  # the plan takes pinned_primes, not a search
     av: AbelianVarietyDesc | None = None
-    declared_gap_rank: int = 0
     factor_target: int | None = None
     factor_strings: tuple[str, ...] | None = None
-
-    @property
-    def p(self) -> int:
-        return self.group.p
 
 
 _FIXTURES: dict[str, Fixture] = {
@@ -223,7 +218,7 @@ def build_plan(fixture_id: str) -> TowerPlan:
         fx.group,
         fx.base,
         fx.rank_target,
-        gap_rank=fx.declared_gap_rank,
+        gap_rank=0,
         ramified_target_override=fx.pinned_ramified_count,
         primes_override=fx.pinned_primes if fx.pins_primes else None,
         extra_diagnostics=_pinned_count_diagnostics(fx),

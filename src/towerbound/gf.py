@@ -89,9 +89,6 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
     def neg(self, a: int) -> int:
         return -a % self.q
 
@@ -160,9 +157,6 @@ class ExtensionField:
 
     def add(self, a: tuple, b: tuple) -> tuple:
         return tuple((x + y) % self.q for x, y in zip(a, b))
-
-    def sub(self, a: tuple, b: tuple) -> tuple:
-        return tuple((x - y) % self.q for x, y in zip(a, b))
 
     def neg(self, a: tuple) -> tuple:
         return tuple(-x % self.q for x in a)

@@ -168,8 +168,9 @@ def _plan_doc(plan) -> dict:
         "field_diagram": field_diagram(plan),
         "diagnostics": _records(plan.diagnostics),
     }
-    if plan.gap_inflation is not None:
-        doc["gap_inflation"] = asdict(plan.gap_inflation)
+    if plan.gap_rank is not None:
+        doc["gap_inflation"] = {"fine_rank_target": plan.rank_target,
+                                "gap_rank": plan.gap_rank}
     return doc
 
 

@@ -114,7 +114,7 @@ def run_reproduction(fixture_id: str, n_max: int = 4) -> ReproductionResult:
         checks.append(_check_factorization(fx))
 
     certificate = build_certificate(plan, av=fx.av, n_max=n_max)
-    checks.append(_check_certificate(plan))
+    checks.append(_check_certificate(plan, certificate))
 
     return ReproductionResult(
         fixture_id=fixture_id,
@@ -386,17 +386,16 @@ def _norm_note(norms: list[int], target: int) -> str:
     return f"factor norms are {norms}"
 
 
-def _check_certificate(plan: TowerPlan) -> CheckResult:
-    net = plan.ramified_target - plan.degree_lower(0)
+def _check_certificate(plan: TowerPlan, cert: BoundCertificate) -> CheckResult:
+    certified = cert.rows[0].class_rank_bound  # each layer's is this times p^n
     target = plan.effective_rank_target
-    if net >= target:
+    if certified >= target:
         return CheckResult(
             "certificate",
             PASS,
-            f"the chain certifies {net} * {plan.p}^n, covering the declared "
+            f"the chain certifies {certified} * {plan.p}^n, covering the declared "
             f"target {target} * {plan.p}^n at every layer",
         )
-    certified = max(net, 0)
     return CheckResult(
         "certificate",
         WARN,

@@ -32,7 +32,6 @@ __all__ = [
     "RelativeCubicBase",
     "select_primes",
     "PlaceRef",
-    "GapInflation",
     "TowerPlan",
     "build_tower_plan",
 ]
@@ -312,10 +311,6 @@ class RelativeCubicBase:
         return arith.euler_phi(self.base_conductor)
 
     @property
-    def degree(self) -> int:
-        return arith.euler_phi(self.base_conductor) * (len(self.poly) - 1)
-
-    @property
     def cyclotomic_conductor(self) -> int:
         return self.base_conductor
 
@@ -500,26 +495,16 @@ class PlaceRef:
 
 
 @dataclass(frozen=True)
-class GapInflation:
-    """Declared intent to read fine-Selmer rows off the plan.
-
-    ``fine_rank_target`` is the rank the fine rows should certify;
-    ``gap_rank`` is the declared rank of the comparison gap term between the
-    two class-group variants.  A positive gap rank inflates the plan's place
-    count so the gap is absorbed; zero declares the gap absent.
-    """
-
-    fine_rank_target: int
-    gap_rank: int
-
-
-@dataclass(frozen=True)
 class TowerPlan:
     """A fully validated construction plan with its selected data.
 
-    Its places are derived on first read of :attr:`selected_places`, since
-    only JSON prints them; a count is ``len(selected_primes) *
-    base.places_per_prime``.
+    ``gap_rank`` is the declared rank of the comparison gap between the two
+    class-group variants, or None when the plan declares no fine-Selmer
+    intent; a positive one inflates ``effective_rank_target`` by twice
+    itself.  :attr:`layer_degree` is the ground layer's degree d0; layer n
+    has degree d0 * p^n.  Its places are derived on first read of
+    :attr:`selected_places`, since only JSON prints them; a count is
+    ``len(selected_primes) * base.places_per_prime``.
     """
 
     ell: int
@@ -532,7 +517,7 @@ class TowerPlan:
     ramified_target_formula: int
     selected_primes: tuple[int, ...]
     alpha: int
-    gap_inflation: GapInflation | None
+    gap_rank: int | None
     first_effective_layer: int
     validation: ValidationReport
     diagnostics: tuple[Diagnostic, ...]
@@ -549,22 +534,10 @@ class TowerPlan:
             for pr in cyclotomic.primes_above(q, m)
         )
 
-    # -- per-layer bookkeeping ----------------------------------------
-
-    def degree_lower(self, n: int) -> int:
-        """Degree of layer n of the Kummer tower over the rationals.
-
-        At layer 0 it is the summand :func:`ramified_place_target` adds to
-        the rank target, action_order * ell * (ell - 1) * dimension.
-        """
-        if n < 0:
-            raise ValueError("layer must be >= 0")
-        return (self.ramified_target_formula - self.effective_rank_target) * self.p**n
-
     @property
-    def min_characteristic(self) -> int:
-        """min(ell, p): the prime whose powers pace the fine-Selmer rows."""
-        return min(self.ell, self.p)
+    def layer_degree(self) -> int:
+        """d0 = action_order * ell * (ell - 1) * dimension, as in ramified_place_target."""
+        return self.ramified_target_formula - self.effective_rank_target
 
 
 def _first_effective_layer(base: BaseField, group: GroupSpec) -> int:
@@ -616,7 +589,6 @@ def build_tower_plan(
     )
     items.extend(base.validate(group))
 
-    gap_inflation: GapInflation | None = None
     effective_target = rank_target
     if gap_rank is not None:
         items.append(
@@ -631,7 +603,6 @@ def build_tower_plan(
                 )
             )
             effective_target = rank_target + 2 * gap_rank
-        gap_inflation = GapInflation(fine_rank_target=rank_target, gap_rank=gap_rank)
 
     report = ValidationReport(tuple(items))
     if not report.passed:
@@ -687,7 +658,7 @@ def build_tower_plan(
         ramified_target_formula=formula,
         selected_primes=tuple(primes),
         alpha=alpha,
-        gap_inflation=gap_inflation,
+        gap_rank=gap_rank,
         first_effective_layer=_first_effective_layer(base, group),
         validation=report,
         diagnostics=tuple(extra_diagnostics),

@@ -8,22 +8,10 @@ from towerbound.bounds import (
     PlanNotInflated,
     TorsionHypothesisUnmet,
     _row_digits,
-    ambiguous_lower,
     build_certificate,
-    fine_selmer_lower,
 )
 from towerbound.fixtures import build_plan, get_fixture
 from towerbound.tower import CyclotomicBase, GroupSpec, build_tower_plan
-
-
-def test_ambiguous_lower():
-    assert ambiguous_lower(42, 40) == 2
-    assert ambiguous_lower(90, 120) == 0
-    assert ambiguous_lower(0, 1) == 0
-    with pytest.raises(ValueError):
-        ambiguous_lower(-1, 10)
-    with pytest.raises(ValueError):
-        ambiguous_lower(5, 0)
 
 
 def test_fine_selmer_requires_declared_gap():
@@ -32,8 +20,6 @@ def test_fine_selmer_requires_declared_gap():
     )
     av = get_fixture("example1").av
     assert av is not None
-    with pytest.raises(PlanNotInflated):
-        fine_selmer_lower(plan, av, 0)
     with pytest.raises(PlanNotInflated):
         build_certificate(plan, av=av)
 
@@ -44,17 +30,17 @@ def test_fine_selmer_requires_torsion():
         label="37a1", dimension=1, torsion_at_kummer_prime=False, bad_primes=(37,)
     )
     with pytest.raises(TorsionHypothesisUnmet):
-        fine_selmer_lower(plan, no_torsion, 1)
+        build_certificate(plan, av=no_torsion, n_max=1)
 
 
 def test_fine_selmer_values_example1():
     plan = build_plan("example1")
     av = get_fixture("example1").av
-    got = [fine_selmer_lower(plan, av, n) for n in range(5)]
-    assert [b.claimed for b in got] == [2, 6, 18, 54, 162]
-    assert [b.conservative for b in got] == [0, 4, 16, 52, 160]
+    got = build_certificate(plan, av=av, n_max=4).rows
+    assert [r.fine_claimed for r in got] == [2, 6, 18, 54, 162]
+    assert [r.fine_conservative for r in got] == [0, 4, 16, 52, 160]
     # the pace is min(ell, p) = 3, not ell = 5
-    assert got[1].claimed * 3 == got[2].claimed
+    assert got[1].fine_claimed * 3 == got[2].fine_claimed
 
 
 def test_certificate_rows_and_trace():
@@ -121,7 +107,7 @@ def test_certificate_rows_at_n_max_1000_match_closed_forms(run_cli, fid):
             "class_rank_bound": max(t - d0, 0) * p**n,
         }
         if fx.av is not None:
-            f, q = plan.gap_inflation.fine_rank_target, min(plan.ell, p)
+            f, q = plan.rank_target, min(plan.ell, p)
             want["fine_selmer_claimed"] = f * q**n
             want["fine_selmer_conservative"] = max(f * q**n - 2 * fx.av.dimension, 0)
         assert {k: int(v) for k, v in row.items()} == want, n

@@ -347,3 +347,39 @@ def test_cubic_rank_target_past_the_ceiling_exhausts_at_once():
     assert proc.stderr == (
         "construct: found only 73677 of 16666676 primes below 10000000\n"
     )
+
+
+ELL18 = 10**18 + 3  # a prime
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("construct", "--ell", str(ELL18), "--p", "3", "--conductor", "3",
+      "--rank-target", "2"), 2 + 2 * ELL18 * (ELL18 - 1)),
+    (("construct", "--ell", "5", "--p", "3", "--conductor", "3",
+      "--rank-target", str(10**50)), 10**50 + 40),
+    (("construct", "--ell", "5", "--p", "3", "--conductor", "3",
+      "--rank-target", str(10**8)), 10**8 + 40),
+    (("inert-primes", "3", "--count", str(10**23)), 10**23),
+], ids=["ell-1e18", "rank-1e50", "rank-1e8", "count-1e23"])
+def test_prime_counts_past_sys_maxsize_exhaust_the_ceiling(run_cli, argv, count):
+    # A quota above sys.maxsize used to leak islice's "Stop argument" error
+    # with exit 2; every quota this large runs out at the ceiling instead.
+    with _deadline(10):
+        code, out, err = run_cli(*argv)
+    assert (code, out) == (1, "")
+    assert err == f"{argv[0]}: found only 332384 of {count} primes below 10000000\n"
+
+
+@pytest.mark.parametrize("flag", ["--p", "--ell"])
+def test_prime_arguments_past_100_digits_are_malformed_at_once(run_cli, flag):
+    # Proving a 4000-digit prime would take minutes; the parser declines it.
+    other = {"--p": ("--ell", "5"), "--ell": ("--p", "3")}[flag]
+    argv = ("construct", flag, "1" + "0" * 3999, *other, "--conductor", "3",
+            "--rank-target", "2")
+    with _deadline(2):
+        code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"argument {flag}: must have at most 100 digits, got 4000\n")
+    with _deadline(2):  # 100 digits still pass the parser
+        code, _, err = run_cli(*argv[:2], "9" * 100, *argv[3:])
+    assert "must have at most" not in err

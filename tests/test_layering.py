@@ -1,7 +1,12 @@
-"""Import rules between the package's modules, read from their source with ``ast``."""
+"""What the package's layout keeps: the import rules between its modules, read
+from their source with ``ast``, and the names the benchmark's tracer wraps."""
 
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
+
+from towerbound import arith
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "towerbound"
 
@@ -70,3 +75,31 @@ def test_tower_decides_splitting_without_its_checking_route():
 
 def test_report_imports_only_the_formatters():
     assert _package_imports("report") <= {"arith", "zpoly"}
+
+
+def _tracing():
+    """bench/tracing.py as a module, imported without installing its hooks."""
+    path = PKG.parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_tracers_hooks_resolve_in_the_package():
+    # The tracer wraps functions and methods by name, and a name that no
+    # longer resolves would only show when a traced run starts.
+    tracing = _tracing()
+    for module, cls, method in tracing.METHODS:
+        owner = getattr(importlib.import_module(f"towerbound.{module}"), cls)
+        assert callable(getattr(owner, method)), (module, cls, method)
+    spans = {n.rsplit(".", 1)[0] for n, _ in tracing.LAYER_METRICS
+             if n.endswith((".calls", ".self_s"))}
+    assert "arith.primes_ascending" in spans
+    for span in spans - set(tracing.METHODS.values()):
+        module, function = span.split(".")
+        assert callable(getattr(importlib.import_module(f"towerbound.{module}"),
+                                function, None)), span
+    # the prime-search wrapper passes the predicate second, by position
+    params = list(inspect.signature(arith.primes_ascending).parameters)
+    assert params[1] == "predicate"

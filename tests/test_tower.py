@@ -165,10 +165,10 @@ def test_build_plan_smallest_case():
     assert len(plan.selected_primes) == 42
     assert plan.selected_primes[:5] == (2, 5, 11, 17, 23)
     assert 3 not in plan.selected_primes  # p itself never selected
-    assert plan.degree_lower(0) == 40
-    assert plan.ramified_target * 3**2 - plan.degree_lower(2) == 2 * 9
+    assert plan.layer_degree == 40
+    assert (plan.ramified_target - plan.layer_degree) * 3**2 == 2 * 9
     assert plan.first_effective_layer == 0
-    assert plan.gap_inflation is None
+    assert plan.gap_rank is None
 
 
 def test_build_plan_rejects_equal_primes():
@@ -232,8 +232,8 @@ def test_build_plan_gap_inflation():
     # target inflated by 2 * gap_rank
     assert plan.effective_rank_target == 4
     assert plan.ramified_target == 4 + 2 * 1 * 3 * 2
-    assert plan.gap_inflation is not None
-    assert plan.gap_inflation.fine_rank_target == 2
+    assert plan.gap_rank == 1
+    assert plan.rank_target == 2  # the rank the fine rows certify
 
     # when ell > p the gap outruns the tower and inflation cannot absorb it
     with pytest.raises(ValidationFailed):
