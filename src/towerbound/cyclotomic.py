@@ -13,7 +13,9 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from itertools import compress, islice, takewhile
+from operator import mul
+from typing import Iterable, Sequence
 
 from . import arith, zpoly
 
@@ -147,35 +149,54 @@ class CycloElement:
         return all(c == 0 for c in self.coeffs)
 
     def norm(self) -> int:
-        """Field norm to Q, exact, by evaluation at the roots of Phi_m mod q.
+        """Field norm to Q, exact, from its residues modulo word-size primes.
 
         N(a) = prod a(omega^k) over gcd(k, m) = 1, for omega a primitive m-th
         root of unity; this is the resultant Res(Phi_m, a) (Cohen, A Course in
-        Computational Algebraic Number Theory, 4.3).  The product is taken
-        modulo word-size primes q = 1 (mod m), where those roots exist in F_q,
-        until the primes' product exceeds twice the bound ||a||_1^phi(m) on
-        |N(a)|; the residues are combined by CRT and lifted to the symmetric
-        range.  The zero element has norm 0.
+        Computational Algebraic Number Theory, 4.3).  By AM-GM and Parseval,
+        |N(a)| <= (m ||a||_2^2 / phi)^(phi/2); word primes q = 1 (mod 2m) are
+        taken until their product exceeds twice that.  Modulo q, with
+        psi^2 = omega, omega^(jk) = psi^((j+k)^2 - j^2 - k^2) turns all the
+        a(omega^k) into one correlation with the chirp psi^(t^2) (Bluestein
+        1970): a product of two Kronecker-packed integers, or for at most phi/2
+        terms a sum of shifted chirps.  Past the cached tables, at most
+        2 sqrt(phi) terms are evaluated directly.  A tree CRT (Bernstein, "Fast
+        multiplication and its applications", 2008) combines the residues,
+        lifted to the symmetric range.  The zero element has norm 0.
         """
-        m = self.modulus.m
-        terms = [(i, c) for i, c in enumerate(self.coeffs) if c]
+        m, phi = self.modulus.m, self.modulus.phi
+        terms = [(j, c) for j, c in enumerate(self.coeffs) if c]
         if not terms:
             return 0
-        units = _units(m)
-        bound = 2 * sum(abs(c) for _, c in terms) ** self.modulus.phi
-        residue, modulus = 0, 1
-        primes = _word_primes(m)
-        while modulus <= bound:
-            q, omega = next(primes)
-            powers = [1] * m
-            for i in range(1, m):
-                powers[i] = powers[i - 1] * omega % q
-            reduced = [(i, c % q) for i, c in terms]
-            acc = 1
-            for k in units:
-                acc = acc * sum(c * powers[i * k % m] for i, c in reduced) % q
-            residue += modulus * ((acc - residue) * pow(modulus, -1, q) % q)
-            modulus *= q
+        x = (m * sum(c * c for _, c in terms)) ** phi // phi**phi  # >= N(a)^2
+        s = max(0, x.bit_length() // 2 - 64)  # isqrt from x's top bits, rounded up
+        limit = 2 * ((math.isqrt(x >> 2 * s) + 1) << s)
+        word = _word_primes(m, -(-limit.bit_length() // 62))  # each exceeds 2**62
+        residues, few, direct = [], 2 * len(terms) <= phi, len(terms) ** 2 <= 4 * phi
+        for i, (q, psi) in enumerate(word):
+            if direct and i >= _CACHED_PRIMES:  # cheaper than building a table
+                omega, powers = psi * psi % q, [1] * m
+                for e in range(1, m):
+                    powers[e] = powers[e - 1] * omega % q
+                reduced = [(j, c % q) for j, c in terms]
+                columns = [[c * powers[j * k % m] for k in _units(m)] for j, c in reduced]
+                values, acc = map(sum, zip(*columns)), 1
+            else:
+                table = _chirp if i < _CACHED_PRIMES else _chirp.__wrapped__
+                width, chirp, inverse, acc = table(m, q, psi)
+                if few:
+                    corr = sum(c % q * inverse[j] % q * (chirp >> 8 * width * j) for j, c in terms)
+                else:
+                    pairs = zip(reversed(self.coeffs), reversed(inverse))
+                    packed = b"".join((c % q * r % q).to_bytes(width, "little") for c, r in pairs)
+                    corr = int.from_bytes(packed, "little") * chirp >> 8 * width * (phi - 1)
+                raw = corr.to_bytes(width * (phi + m), "little")
+                values = (int.from_bytes(raw[k * width : (k + 1) * width], "little")
+                          for k in _units(m))
+            for value in values:
+                acc = acc * value % q
+            residues.append(acc)
+        residue, modulus = _crt(residues, [q for q, _ in word])
         return residue - modulus if residue > modulus // 2 else residue
 
     # -- display ------------------------------------------------------
@@ -221,22 +242,70 @@ def _root_of_unity(m: int, q: int) -> int:
     raise ArithmeticError(f"no primitive {m}-th root of unity modulo {q}")
 
 
-# (q, omega) pairs per conductor: primes q = 1 (mod m) below 2**63, where the
-# Miller-Rabin battery of arith.is_prime is a proof, found downwards and kept.
+# Word primes per conductor m, found downwards and kept: primes q = 1 (mod 2m) in
+# (2**62, 2**63), where arith.is_prime is a proof, with psi of order 2m mod q.
 _WORD_PRIMES: dict[int, list[tuple[int, int]]] = {}
+_SIEVE_SPAN = 1 << 10  # candidates per sieved block, and the sieving primes' bound
 
 
-def _word_primes(m: int) -> Iterator[tuple[int, int]]:
+def _word_primes(m: int, count: int) -> list[tuple[int, int]]:
+    """The first ``count`` word primes of conductor m with their psi, sieved blockwise."""
     found = _WORD_PRIMES.setdefault(m, [])
-    i = 0
-    while True:
-        if i == len(found):
-            q = found[-1][0] - m if found else (2**63 - 2) // m * m + 1
-            while not arith.is_prime(q):
-                q -= m
-            found.append((q, _root_of_unity(m, q)))
-        yield found[i]
-        i += 1
+    step = 2 * m
+    top = found[-1][0] - step if found else (2**63 - 2) // step * step + 1
+    while len(found) < count:
+        flags = bytearray([1]) * _SIEVE_SPAN
+        for r in takewhile(lambda r: r < _SIEVE_SPAN, arith.primes(3)):
+            if step % r:
+                i = top * pow(step, -1, r) % r  # r divides top - step * i
+                flags[i::r] = bytes(len(range(i, _SIEVE_SPAN, r)))
+        block = compress(range(top, top - _SIEVE_SPAN * step, -step), flags)
+        found += islice(((q, _root_of_unity(step, q)) for q in block if arith.is_prime(q)),
+                        count - len(found))
+        top -= _SIEVE_SPAN * step
+    return found[:count]
+
+
+def _chirp_powers(psi: int, n: int, q: int) -> list[int]:
+    """psi^(t^2) mod q for t < n, by psi^((t+1)^2) = psi^(t^2) * psi^(2t+1)."""
+    out, odd, psi2 = [1], psi, psi * psi % q
+    for _ in range(n - 1):
+        out.append(out[-1] * odd % q)
+        odd = odd * psi2 % q
+    return out
+
+
+_CACHED_PRIMES = 4  # tables cached per conductor: one huge norm pins 160 kB at most
+
+
+@lru_cache(maxsize=128)
+def _chirp(m: int, q: int, psi: int) -> tuple[int, int, list[int], int]:
+    """For word prime q: slot width, psi^(t^2) packed for t < phi + m - 1,
+    psi^(-j^2) for j < phi, and the product of psi^(-k^2) over k prime to m."""
+    phi = len(_units(m))
+    width = (2 * q.bit_length() + phi.bit_length() + 7) // 8
+    chirp = b"".join(v.to_bytes(width, "little") for v in _chirp_powers(psi, phi + m - 1, q))
+    inverse = _chirp_powers(pow(psi, -1, q), phi, q)
+    scale = pow(psi, -sum(k * k for k in _units(m)) % (2 * m), q)
+    return width, int.from_bytes(chirp, "little"), inverse, scale
+
+
+def _crt(residues: list[int], primes: list[int]) -> tuple[int, int]:
+    """(x, M), M the primes' product, x = residues[i] mod primes[i], by Bernstein's
+    linear-combination CRT: (M / q) mod q comes down the product tree, as
+    (M / a) mod a = ((M / P) mod a) * (b mod a) for P = a * b, and
+    x = sum c_q M / q, c_q = residue / (M / q) mod q, goes up it."""
+    tree = [primes]
+    while len(tree[-1]) > 1:
+        tree.append([math.prod(tree[-1][i : i + 2]) for i in range(0, len(tree[-1]), 2)])
+    siblings = [[lv[n ^ 1] if n ^ 1 < len(lv) else 1 for n in range(len(lv))] for lv in tree]
+    down = [1]
+    for level, sibs in zip(tree[-2::-1], siblings[-2::-1]):
+        down = [down[n // 2] % a * (b % a) % a for n, (a, b) in enumerate(zip(level, sibs))]
+    up = [r * pow(e, -1, q) % q for r, e, q in zip(residues, down, primes)]
+    for sibs in siblings[:-1]:
+        up = [sum(map(mul, up[i : i + 2], sibs[i : i + 2])) for i in range(0, len(up), 2)]
+    return up[0] % tree[-1][0], tree[-1][0]
 
 
 # ---------------------------------------------------------------------------

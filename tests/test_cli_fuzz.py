@@ -5,6 +5,7 @@ pin the inputs that used to end in a traceback, a hang or a wrong exit code.
 """
 
 import json
+import math
 import os
 import random
 import signal
@@ -282,9 +283,9 @@ def test_conductor_cap_is_500_on_every_subcommand(run_cli):
 
 def test_dense_factor_at_the_conductor_cap_fits_the_budget(run_cli):
     # The costliest input per conductor: zeta^(m-1) + 1 reduces to a dense
-    # element, whose norm costs about m^3 (286 s at m = 2003).  At the
-    # largest prime below the cap it must stay inside the fuzz's budget.
-    with _deadline(10):
+    # element, whose norm took 3 to 4 s at m = 499 when it cost about m^3;
+    # one chirp product per word prime takes it to about 0.15 s.
+    with _deadline(2):
         code, out, err = run_cli(
             "verify-factorization", "--conductor", "499", "--target", "1",
             "--factor", "zeta499^498 + 1",
@@ -292,6 +293,15 @@ def test_dense_factor_at_the_conductor_cap_fits_the_budget(run_cli):
     assert code == 1, err  # 1 + zeta^-1 is a unit but not a root of unity
     assert "factors: 1 (norms: 1)\n" in out
     assert "status: mismatch\n" in out
+
+
+def test_split_prime_past_100_digits_is_malformed_at_once(run_cli):
+    # 1477! + 1 is a 4042-digit prime; proving it would take minutes
+    prime = str(math.factorial(1477) + 1)
+    with _deadline(2):
+        code, out, err = run_cli("split", prime, "7")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"argument prime: must have at most 100 digits, got {len(prime)}\n")
 
 
 @pytest.mark.parametrize("conductor, factors", [

@@ -195,12 +195,84 @@ def test_norm_matches_conjugate_product():
 
 
 def test_norm_of_integer_minus_zeta_is_phi_m_value():
-    # N(x - zeta) = prod (x - zeta^k) = Phi_m(x), coefficients up to 10**40
-    for m in ORACLE_CONDUCTORS:
+    # N(x - zeta) = prod (x - zeta^k) = Phi_m(x), coefficients up to 10**40;
+    # at prime m, |N| for x = 10**40 is within a factor e^(1/2) of the bound
+    for m in ORACLE_CONDUCTORS + (499,):
         mod = cyclotomic_polynomial(m)
         for x in (-(10**40), -7, 0, 1, 2, 10**40):
             a = CycloElement.integer(mod, x) - _zeta(mod, 1)
             assert a.norm() == zpoly.eval_at(list(mod.poly), x), (m, x)
+
+
+def _per_k_norm(a):
+    """The norm as computed before the chirp-z evaluation: per k, term by term.
+
+    a(omega^k) for each k prime to m, modulo primes q = 1 (mod m) below
+    2**63 until their product exceeds twice ||a||_1^phi(m), with Garner's CRT.
+    """
+    m, phi = a.modulus.m, a.modulus.phi
+    terms = [(i, c) for i, c in enumerate(a.coeffs) if c]
+    if not terms:
+        return 0
+    units = [k for k in range(m) if math.gcd(k, m) == 1]
+    bound = 2 * sum(abs(c) for _, c in terms) ** phi
+    residue, modulus, q = 0, 1, (2**63 - 2) // m * m + 1
+    while modulus <= bound:
+        while not arith.is_prime(q):
+            q -= m
+        omega = next(w for w in (pow(x, (q - 1) // m, q) for x in range(2, q))
+                     if all(pow(w, m // r, q) != 1 for r in arith.factorize(m)))
+        powers = [1] * m
+        for i in range(1, m):
+            powers[i] = powers[i - 1] * omega % q
+        reduced = [(i, c % q) for i, c in terms]
+        acc = 1
+        for k in units:
+            acc = acc * sum(c * powers[i * k % m] for i, c in reduced) % q
+        residue += modulus * ((acc - residue) * pow(modulus, -1, q) % q)
+        modulus, q = modulus * q, q - m
+    return residue - modulus if residue > modulus // 2 else residue
+
+
+def test_norm_matches_the_per_k_loop_it_replaced():
+    # By its term count t, a norm takes a chirp product (t > phi/2), shifted
+    # chirps, or past the cached tables direct evaluation (t <= 2 sqrt(phi)):
+    # each conductor gets t on both sides of both cutoffs, and a fully dense
+    # element, except at 499, where the loop would take seconds on those and
+    # the next test covers the phi/2 cutoff.  Even conductors take other word
+    # primes (q = 1 mod 2m) than the loop does.
+    rng = random.Random(499)
+    for m in (1, 2, 6, 14, 128, 211, 256, 420, 499):
+        mod = cyclotomic_polynomial(m)
+        root, half = math.isqrt(4 * mod.phi), mod.phi // 2
+        counts = {1, 2, 3, root, root + 1}
+        if m < 499:
+            counts |= {half, half + 1, mod.phi}
+        for t in sorted(c for c in counts if c <= mod.phi):
+            coeffs = [0] * mod.phi
+            for j in rng.sample(range(mod.phi), t):
+                coeffs[j] = rng.choice((-2, -1, 1, 2))
+            a = CycloElement(mod, tuple(coeffs))
+            assert a.norm() == _per_k_norm(a), (m, t)
+
+
+def test_norm_on_both_sides_of_half_the_terms_at_the_cap():
+    # 1 + zeta + ... + zeta^(t-1) = (zeta^t - 1) / (zeta - 1) is a unit for t
+    # prime to 499, so 3 times it has norm 3^498
+    mod = cyclotomic_polynomial(499)
+    for t in (249, 250):
+        assert CycloElement(mod, (3,) * t + (0,) * (mod.phi - t)).norm() == 3**498
+
+
+@pytest.mark.parametrize("m, coeffs, norm", [
+    (1, (-7,), -7),
+    (2, (-(10**40),), -(10**40)),
+    # |N(a)| meets the bound (m ||a||_2^2 / phi)^(phi/2) = 3 c^2 exactly
+    (3, (10**40 + 1, -(10**40 + 1)), 3 * (10**40 + 1) ** 2),
+])
+def test_norm_at_the_extremes_matches_the_per_k_loop(m, coeffs, norm):
+    a = CycloElement(cyclotomic_polynomial(m), coeffs)
+    assert a.norm() == _per_k_norm(a) == norm
 
 
 def test_match_up_to_unit_matches_naive_loop():
