@@ -4,6 +4,7 @@ Elements of Z[zeta_m] are stored as integer coordinate tuples on the power
 basis 1, zeta, ..., zeta^(phi(m)-1), i.e. reduced modulo the m-th cyclotomic
 polynomial.  Splitting of an unramified rational prime q is computed from the
 multiplicative order of q mod m; no factorization of ideals is ever needed.
+Zeta-notation is parsed here and written by :mod:`towerbound.report`.
 """
 
 from __future__ import annotations
@@ -199,14 +200,6 @@ class CycloElement:
         residue, modulus = _crt(residues, [q for q, _ in word])
         return residue - modulus if residue > modulus // 2 else residue
 
-    # -- display ------------------------------------------------------
-
-    def render(self, unicode_ok: bool = True) -> str:
-        return _render_element(self, unicode_ok)
-
-    def __str__(self) -> str:
-        return self.render()
-
 
 def cyclo_mul(mod: CycloModulus, factors: Iterable[CycloElement]) -> CycloElement:
     """Product of several elements of Q(zeta_m)."""
@@ -309,49 +302,12 @@ def _crt(residues: list[int], primes: list[int]) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# zeta-notation rendering and parsing
+# zeta-notation parsing
 # ---------------------------------------------------------------------------
 
-_SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
-_SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 _UNSUB = str.maketrans("₀₁₂₃₄₅₆₇₈₉", "0123456789")
 _UNSUP = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
 _TERM = re.compile(r"^(-?)(\d+)?(?:\*?zeta(?:\{(\d+)\}|(\d+))?(?:\^(\d+))?)?$")
-
-
-def _zeta_token(m: int, e: int, unicode_ok: bool) -> str:
-    if unicode_ok:
-        tok = "ζ" + str(m).translate(_SUB)
-        if e > 1:
-            tok += str(e).translate(_SUP)
-        return tok
-    tok = f"zeta{m}"
-    if e > 1:
-        tok += f"^{e}"
-    return tok
-
-
-def _render_element(el: CycloElement, unicode_ok: bool) -> str:
-    coeffs = el.coeffs
-    m = el.modulus.m
-    parts: list[str] = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = arith.format_decimal(mag)
-        else:
-            tok = _zeta_token(m, e, unicode_ok)
-            body = tok if mag == 1 else arith.format_decimal(mag) + tok
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    if not parts:
-        return "0"
-    return " ".join(parts)
 
 
 def _translate_marks(s: str) -> str:
@@ -465,16 +421,6 @@ class SplittingData:
     e: int
     f: int
     g: int
-
-    @property
-    def classification(self) -> str:
-        if self.e != 1:
-            return "ramified"
-        if self.f == 1:
-            return "totally split"
-        if self.g == 1:
-            return "inert"
-        return "partially split"
 
 
 def splitting_data(q: int, m: int) -> SplittingData:

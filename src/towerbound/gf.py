@@ -106,9 +106,6 @@ class PrimeField:
         for j, y in enumerate(b, k):
             out[j] = (out[j] + c * y) % q
 
-    def describe(self) -> str:
-        return f"F_{self.q}"
-
 
 @dataclass(frozen=True)
 class ExtensionField:
@@ -175,10 +172,6 @@ class ExtensionField:
             r0, r1, s0, s1 = r1, rem, s1, _poly_sub(base, s0, _poly_mul(base, quo, s1))
         c = base.inv(r1[0])  # a nonzero constant: the generator is irreducible
         return self._pad([base.mul(c, x) for x in s1])
-
-    def describe(self) -> str:
-        gen = zpoly.format_poly(list(self.generator), var="y")
-        return f"F_{self.q}^{self.degree} = F_{self.q}[y]/({gen})"
 
 
 Field = Union[PrimeField, ExtensionField]

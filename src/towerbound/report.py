@@ -1,10 +1,14 @@
 """Rendering: every JSON document (schema 1) and text block the CLI prints.
 
-Domain objects carry data only; this module turns them into output.  Each
-document ``kind`` has one function for its JSON body and one for its text
-here, and the CLI calls the one for the format the user asked for.  Objects are read by their attributes, so
-this module imports no domain module (only the integer and polynomial
-formatters) and any module may import it.
+Domain objects carry data only; this module alone knows how they look.  One
+term renderer writes integer polynomials (``x^3 - x^2 - 4*x - 1``) and
+zeta-notation (``2ζ₇³ + 1``, or ``2zeta7^3 + 1`` in ASCII), every integer
+through ``arith.format_decimal``; small label functions name the group, the
+base field, its fixed subfield and a prime's splitting type.  Each document
+``kind`` has one function for its JSON body and one for its text here, and
+the CLI calls the one for the format the user asked for.  Objects are read
+by their attributes, so this module imports only ``arith`` and any module
+may import it.
 """
 
 from __future__ import annotations
@@ -16,11 +20,16 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable
 
 from .arith import format_decimal
-from .zpoly import format_poly
 
 __all__ = [
     "SCHEMA_VERSION",
     "json_safe_int",
+    "format_poly",
+    "format_cyclo",
+    "group_label",
+    "base_label",
+    "fixed_subfield_label",
+    "classification",
     "stable_json",
     "wrap_document",
     "document_body",
@@ -40,6 +49,69 @@ _JSON_INT_LIMIT = 2**53
 
 def json_safe_int(v: int) -> int | str:
     return v if -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT else format_decimal(v)
+
+
+def _terms(coeffs, power: Callable[[int], str], times: str = "") -> str:
+    """The nonzero ``c * power(e)``, highest e first, joined by signs; "0" if none."""
+    parts: list[str] = []
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
+        if c:
+            mag = format_decimal(abs(c))
+            body = mag if e == 0 else power(e) if mag == "1" else mag + times + power(e)
+            sign = ("-" if c < 0 else "") if not parts else ("- " if c < 0 else "+ ")
+            parts.append(sign + body)
+    return " ".join(parts) or "0"
+
+
+def format_poly(p, var: str = "x") -> str:
+    """An integer polynomial, constant term first, as ``x^3 - x^2 - 4*x - 1``."""
+    return _terms(p, lambda e: var if e == 1 else f"{var}^{e}", "*")
+
+
+_SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
+_SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+
+
+def format_cyclo(el, unicode_ok: bool = True) -> str:
+    """An element of Z[zeta_m] as ``2ζ₇³ + 1``, or ``2zeta7^3 + 1`` in ASCII."""
+    m = str(el.modulus.m)
+    if unicode_ok:
+        zeta, exp = "ζ" + m.translate(_SUB), lambda e: str(e).translate(_SUP)
+    else:
+        zeta, exp = "zeta" + m, lambda e: f"^{e}"
+    return _terms(el.coeffs, lambda e: zeta + exp(e) if e > 1 else zeta)
+
+
+def group_label(group) -> str:
+    if group.family == "abelian":
+        return f"Z_{group.p}^{group.dimension} (abelian)"
+    return (
+        f"class-2 nilpotent on x, y, z with [x,z] = [y,z] = 1 and "
+        f"[x,y] = z^({group.p}^{group.twist_exponent})"
+    )
+
+
+def base_label(base) -> str:
+    """Q(zeta_c), or Q(zeta_c)(theta) with the cubic of a relative base."""
+    cyclo = f"Q(zeta_{base.cyclotomic_conductor})"
+    poly = getattr(base, "poly", None)  # a relative base's defining cubic
+    return cyclo if poly is None else f"{cyclo}(theta), {format_poly(poly, 'theta')} = 0"
+
+
+def fixed_subfield_label(base) -> str:
+    """K0: the real subfield of Q(zeta_c), or Q(zeta_c) under a relative base."""
+    cyclo = f"Q(zeta_{base.cyclotomic_conductor})"
+    return cyclo + "^+" if getattr(base, "poly", None) is None else cyclo
+
+
+def classification(sd) -> str:
+    """How a prime with splitting data ``sd`` (None when it divides the conductor) splits."""
+    if sd is None or sd.e != 1:
+        return "ramified"
+    if sd.f == 1:
+        return "totally split"
+    return "inert" if sd.g == 1 else "partially split"
 
 
 def stable_json(doc: Any) -> str:
@@ -118,8 +190,8 @@ def field_diagram(plan) -> dict:
     """Node/edge description of the field lattice a plan works in."""
     ell = plan.ell
     nodes = [
-        {"id": "K0", "label": plan.base.fixed_subfield_label()},
-        {"id": "K", "label": plan.base.describe()},
+        {"id": "K0", "label": fixed_subfield_label(plan.base)},
+        {"id": "K", "label": base_label(plan.base)},
         {"id": "K_zeta", "label": f"K(zeta_{ell})"},
         {"id": "L", "label": f"K(zeta_{ell}, alpha^(1/{ell}))"},
         {"id": "K_tower", "label": "K_tower (pro-p tower over K)"},
@@ -130,7 +202,7 @@ def field_diagram(plan) -> dict:
         {"from": "K0", "to": "K", "degree": plan.group.action_order},
         {"from": "K", "to": "K_zeta", "degree": ell - 1},
         {"from": "K_zeta", "to": "L", "degree": ell},
-        {"from": "K", "to": "K_tower", "degree": plan.group.describe()},
+        {"from": "K", "to": "K_tower", "degree": group_label(plan.group)},
         {"from": "K_tower", "to": "K_tower_zeta", "degree": None},
         {"from": "K_tower_zeta", "to": "L_tower", "degree": None},
         {"from": "L", "to": "L_tower", "degree": None},
@@ -142,18 +214,20 @@ def field_diagram(plan) -> dict:
 def _plan_doc(plan) -> dict:
     alpha = format_decimal(plan.alpha)
     base = {
-        "description": plan.base.describe(),
+        "description": base_label(plan.base),
         "conductor": plan.base.cyclotomic_conductor,
     }
     poly = getattr(plan.base, "poly", None)  # a relative base's defining cubic
     if poly is not None:
-        base["relative_poly"] = format_poly(list(poly), var="x")
+        base["relative_poly"] = format_poly(poly)
+    group = {k: json_safe_int(v) if type(v) is int else v
+             for k, v in asdict(plan.group).items()}
     doc: dict = {
-        "ell": plan.ell,
-        "p": plan.p,
+        "ell": json_safe_int(plan.ell),
+        "p": json_safe_int(plan.p),
         "rank_target": plan.rank_target,
         "effective_rank_target": plan.effective_rank_target,
-        "group": {**asdict(plan.group), "description": plan.group.describe()},
+        "group": {**group, "description": group_label(plan.group)},
         "base": base,
         "ramified_target": plan.ramified_target,
         "ramified_target_formula": plan.ramified_target_formula,
@@ -257,7 +331,7 @@ def _reproduction_lines(d: dict) -> list[str]:
             p = r.plan
             lines.append(
                 f"  parameters: ell={p.ell} p={p.p} rank-target={p.rank_target} "
-                f"group={p.group.describe()} base={p.base.describe()}"
+                f"group={group_label(p.group)} base={base_label(p.base)}"
             )
             places = len(p.selected_primes) * p.base.places_per_prime
             lines.append(
@@ -287,8 +361,8 @@ def _construction_lines(d: dict) -> list[str]:
     alpha = format_decimal(plan.alpha)
     return [
         "construction",
-        f"  group: {plan.group.describe()}",
-        f"  base: {plan.base.describe()}",
+        f"  group: {group_label(plan.group)}",
+        f"  base: {base_label(plan.base)}",
         f"  ramified-place target: {plan.ramified_target}"
         f" (formula value {plan.ramified_target_formula})",
         f"  selected primes ({len(plan.selected_primes)}): "
@@ -302,9 +376,10 @@ def _construction_lines(d: dict) -> list[str]:
 def _factor_check_body(d: dict) -> dict:
     return {
         **d,
-        "factors": [f.render(False) for f in d["factors"]],
+        "target": json_safe_int(d["target"]),
+        "factors": [format_cyclo(f, False) for f in d["factors"]],
         "factor_norms": [format_decimal(n) for n in d["factor_norms"]],
-        "product": d["product"].render(False),
+        "product": format_cyclo(d["product"], False),
         "diagnostics": _records(d["diagnostics"]),
     }
 
@@ -315,7 +390,7 @@ def _factor_check_lines(d: dict) -> list[str]:
         f"target: {d['target']}",
         f"factors: {len(d['factors'])} "
         f"(norms: {', '.join(map(format_decimal, d['factor_norms']))})",
-        f"product: {d['product'].render()}",
+        f"product: {format_cyclo(d['product'])}",
         f"status: {d['status']}",
         *map(_diagnostic_line, d["diagnostics"]),
     ]
@@ -325,8 +400,8 @@ def _splitting_body(d: dict) -> dict:
     sd = d["sd"]
     return {
         "conductor": d["conductor"],
-        "prime": d["prime"],
-        "classification": sd.classification if sd else "ramified",
+        "prime": json_safe_int(d["prime"]),
+        "classification": classification(sd),
         "e": sd.e if sd else None,
         "f": sd.f if sd else None,
         "g": sd.g if sd else None,
@@ -338,7 +413,7 @@ def _splitting_lines(d: dict) -> list[str]:
     head = f"{d['prime']} in Q(zeta_{d['conductor']}): "
     if sd is None:
         return [head + "ramified (divides the conductor)"]
-    return [head + f"e={sd.e} f={sd.f} g={sd.g} - {sd.classification}"]
+    return [head + f"e={sd.e} f={sd.f} g={sd.g} - {classification(sd)}"]
 
 
 #: kind -> (JSON body, text lines); each function takes the data a command returns
@@ -357,7 +432,7 @@ _KINDS = {
     "factor-check": (_factor_check_body, _factor_check_lines),
     "splitting": (_splitting_body, _splitting_lines),
     "inert-primes": (
-        dict,  # the data is the body
+        lambda d: {**d, "excluded": [json_safe_int(q) for q in d["excluded"]]},
         lambda d: [f"first {d['count']} primes inert in Q(zeta_{d['conductor']}): "
                    + ", ".join(map(str, d["primes"]))],
     ),

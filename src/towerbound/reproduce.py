@@ -15,7 +15,7 @@ from . import arith, catalog, cyclotomic, gf, zpoly
 from .bounds import BoundCertificate, build_certificate
 from .catalog import Diagnostic
 from .fixtures import Fixture, build_plan, get_fixture
-from .report import check_line
+from .report import check_line, format_cyclo
 from .tower import RelativeCubicBase, TowerPlan, ValidationFailed, select_primes
 
 __all__ = ["CheckResult", "ReproductionResult", "run_reproduction", "factor_check"]
@@ -299,7 +299,7 @@ def _check_factorization(fx: Fixture) -> CheckResult:
     status, detail = {
         "mismatch": (
             FAIL,
-            f"the {count} factors multiply to {data['product'].render(False)}, "
+            f"the {count} factors multiply to {format_cyclo(data['product'], False)}, "
             f"which is not {target} up to a root of unity; {note}",
         ),
         "exact": (PASS, f"the {count} factors multiply to exactly {target}; {note}"),
@@ -365,7 +365,7 @@ def factor_check(
         diags.append(
             catalog.make(
                 "FACTOR-UNIT-DISCREPANCY",
-                f"the factors multiply to {product.render(False)}, which is "
+                f"the factors multiply to {format_cyclo(product, False)}, which is "
                 f"{target} times the unit {unit} rather than {target} itself{note}",
             )
         )

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence, Union
 
 from . import arith, cyclotomic, zpoly
 from .catalog import Diagnostic
+from .report import base_label
 
 __all__ = [
     "ValidationFailed",
@@ -94,14 +95,6 @@ class GroupSpec:
     action_order: int
     family: str = FAMILY_ABELIAN
     twist_exponent: int | None = None
-
-    def describe(self) -> str:
-        if self.family == FAMILY_ABELIAN:
-            return f"Z_{self.p}^{self.dimension} (abelian)"
-        return (
-            f"class-2 nilpotent on x, y, z with [x,z] = [y,z] = 1 and "
-            f"[x,y] = z^({self.p}^{self.twist_exponent})"
-        )
 
 
 def validate_group(spec: GroupSpec) -> ValidationReport:
@@ -226,12 +219,6 @@ class CyclotomicBase:
     def cyclotomic_conductor(self) -> int:
         return self.conductor
 
-    def describe(self) -> str:
-        return f"Q(zeta_{self.conductor})"
-
-    def fixed_subfield_label(self) -> str:
-        return f"Q(zeta_{self.conductor})^+"
-
     def validate(self, group: GroupSpec) -> list[CheckItem]:
         return [
             CheckItem(
@@ -257,7 +244,7 @@ class CyclotomicBase:
             CheckItem(
                 "unique-prime-above-p",
                 _single_place_degree(group.p, self.conductor) > 0,
-                f"p = {group.p} must have a single place in {self.describe()}",
+                f"p = {group.p} must have a single place in Q(zeta_{self.conductor})",
             ),
         ]
 
@@ -313,13 +300,6 @@ class RelativeCubicBase:
     @property
     def cyclotomic_conductor(self) -> int:
         return self.base_conductor
-
-    def describe(self) -> str:
-        rel = zpoly.format_poly(list(self.poly), var="theta")
-        return f"Q(zeta_{self.base_conductor})(theta), {rel} = 0"
-
-    def fixed_subfield_label(self) -> str:
-        return f"Q(zeta_{self.base_conductor})"
 
     def validate(self, group: GroupSpec) -> list[CheckItem]:
         deg = len(self.poly) - 1
@@ -629,7 +609,7 @@ def build_tower_plan(
                     CheckItem(
                         "pinned-prime-qualifies",
                         False,
-                        f"{q} does not qualify for {base.describe()}",
+                        f"{q} does not qualify for {base_label(base)}",
                     )
                 )
         post_items.append(

@@ -1,7 +1,8 @@
 """Dense integer polynomials as coefficient lists, constant term first.
 
 A polynomial is a list ``[c0, c1, ..., cn]`` meaning c0 + c1*x + ... + cn*x^n.
-The zero polynomial is the empty list.  All arithmetic is exact.
+The zero polynomial is the empty list.  All arithmetic is exact; the
+polynomials are written out by :mod:`towerbound.report`.
 """
 
 from __future__ import annotations
@@ -11,15 +12,12 @@ from typing import Sequence
 __all__ = [
     "normalize",
     "degree",
-    "add",
     "mul",
     "divmod_monicish",
     "div_exact",
-    "eval_at",
     "derivative",
     "resultant",
     "discriminant",
-    "format_poly",
 ]
 
 Poly = list[int]
@@ -37,13 +35,6 @@ def degree(p: Sequence[int]) -> int:
     """Degree, with the zero polynomial at -1."""
     q = normalize(p)
     return len(q) - 1
-
-
-def add(a: Sequence[int], b: Sequence[int]) -> Poly:
-    n = max(len(a), len(b))
-    return normalize(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
 
 
 def mul(a: Sequence[int], b: Sequence[int]) -> Poly:
@@ -92,13 +83,6 @@ def div_exact(a: Sequence[int], b: Sequence[int]) -> Poly:
     if r:
         raise ArithmeticError("division was not exact")
     return q
-
-
-def eval_at(p: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(normalize(p)):
-        acc = acc * x + c
-    return acc
 
 
 def derivative(p: Sequence[int]) -> Poly:
@@ -169,26 +153,3 @@ def discriminant(f: Sequence[int]) -> int:
     if num % lc != 0:
         raise ArithmeticError("discriminant division was not exact")
     return num // lc
-
-
-def format_poly(p: Sequence[int], var: str = "x") -> str:
-    """Render in plain ASCII, highest degree first: ``x^3 - x^2 - 4*x - 1``."""
-    p = normalize(p)
-    if not p:
-        return "0"
-    parts: list[str] = []
-    for e in range(len(p) - 1, -1, -1):
-        c = p[e]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            xpart = var if e == 1 else f"{var}^{e}"
-            body = xpart if mag == 1 else f"{mag}*{xpart}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)

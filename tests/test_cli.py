@@ -106,6 +106,27 @@ def test_split_command(run_cli):
     assert code == 2
 
 
+def test_json_integers_the_user_sets_past_2_53_are_strings(run_cli):
+    # JSON numbers are exact only below 2**53; 2**53 + 57 is the first prime
+    # past it that is 2 mod 3, so it has a single place in Q(zeta_3).
+    big, p = str(2**60), 2**53 + 57
+    runs = {
+        ("split", "9007199254740997", "7"): lambda d: d["prime"] == "9007199254740997",
+        ("verify-factorization", "--conductor", "3", "--target", big, "--factor", big):
+            lambda d: (d["status"], d["target"], d["product"]) == ("exact", big, big),
+        ("construct", "--ell", "5", "--p", str(p), "--conductor", "3", "--rank-target",
+         "2", "--n-max", "1"):
+            lambda d: (d["plan"]["p"], d["plan"]["ell"], d["plan"]["group"]["p"])
+            == (str(p), 5, str(p)),
+        ("inert-primes", "5", "--count", "2", "--exclude", big, "--exclude", "2"):
+            lambda d: d["excluded"] == [2, big],
+    }
+    for argv, holds in runs.items():
+        code, out, err = run_cli(*argv, "--json")
+        assert (code, err) == (0, ""), argv
+        assert holds(json.loads(out)), argv
+
+
 def test_inert_primes_command(run_cli):
     code, out, _ = run_cli("inert-primes", "3", "--count", "5", "--exclude", "3")
     assert code == 0

@@ -292,8 +292,13 @@ def _has_integer_root(poly):
     c0 = poly[0]
     if c0 == 0:
         return True
-    return any(zpoly.eval_at(list(poly), s * r) == 0
-               for r in range(1, abs(c0) + 1) if c0 % r == 0 for s in (1, -1))
+    def value(x):
+        acc = 0
+        for c in reversed(poly):
+            acc = acc * x + c
+        return acc
+
+    return any(value(s * r) == 0 for r in range(1, abs(c0) + 1) if c0 % r == 0 for s in (1, -1))
 
 
 def test_a_class_table_implies_an_irreducible_cubic():

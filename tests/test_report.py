@@ -1,0 +1,109 @@
+"""The one term renderer in report, checked against the two renderers it replaced."""
+
+import random
+
+from towerbound import report
+from towerbound.arith import format_decimal
+from towerbound.cyclotomic import CycloElement, cyclotomic_polynomial, parse_cyclo_element
+from towerbound.tower import RelativeCubicBase
+
+
+def _old_format_poly(p, var="x"):
+    """The polynomial renderer as it was, each coefficient through ``str``."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    if not p:
+        return "0"
+    parts = []
+    for e in range(len(p) - 1, -1, -1):
+        c = p[e]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            xpart = var if e == 1 else f"{var}^{e}"
+            body = xpart if mag == 1 else f"{mag}*{xpart}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+_SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
+_SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+
+
+def _old_zeta_token(m, e, unicode_ok):
+    if unicode_ok:
+        tok = "ζ" + str(m).translate(_SUB)
+        if e > 1:
+            tok += str(e).translate(_SUP)
+        return tok
+    tok = f"zeta{m}"
+    if e > 1:
+        tok += f"^{e}"
+    return tok
+
+
+def _old_render_element(el, unicode_ok):
+    """The zeta-notation renderer as it was."""
+    coeffs = el.coeffs
+    m = el.modulus.m
+    parts = []
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if e == 0:
+            body = format_decimal(mag)
+        else:
+            tok = _old_zeta_token(m, e, unicode_ok)
+            body = tok if mag == 1 else format_decimal(mag) + tok
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    if not parts:
+        return "0"
+    return " ".join(parts)
+
+
+def _coefficients(rng, n):
+    """n coefficients mixing 0, +-1 and larger values of either sign."""
+    pick = (0, 0, 1, -1, rng.randrange(2, 10), -rng.randrange(2, 10**30))
+    return [rng.choice(pick) for _ in range(n)]
+
+
+def test_format_poly_matches_the_old_renderer():
+    rng = random.Random(17)
+    cases = [[], [0, 0], [1], [-1], [0, 1], [0, -1], [-1, -4, -1, 1], [5, 0, -7]]
+    cases += [_coefficients(rng, rng.randrange(0, 9)) for _ in range(400)]
+    for p in cases:
+        for var in ("x", "theta", "y"):
+            assert report.format_poly(p, var) == _old_format_poly(p, var), (p, var)
+
+
+def test_format_cyclo_matches_the_old_renderer():
+    rng = random.Random(19)
+    for m in (1, 3, 7, 9, 12, 31):
+        mod = cyclotomic_polynomial(m)
+        cases = [(0,) * mod.phi, (1,) + (0,) * (mod.phi - 1), (-1,) * mod.phi]
+        cases += [tuple(_coefficients(rng, mod.phi)) for _ in range(60)]
+        for coeffs in cases:
+            el = CycloElement(mod, coeffs)
+            for unicode_ok in (True, False):
+                text = report.format_cyclo(el, unicode_ok)
+                assert text == _old_render_element(el, unicode_ok), (m, coeffs)
+                assert parse_cyclo_element(text, m) == el
+
+
+def test_a_relative_base_with_a_coefficient_past_the_int_string_limit_renders():
+    # The old renderer put each coefficient through str and raised ValueError here.
+    label = report.base_label(RelativeCubicBase(7, (10**5000, 0, 0, 1)))
+    assert label == f"Q(zeta_7)(theta), theta^3 + 1{'0' * 5000} = 0"
+    assert len(label) == 5033

@@ -2,7 +2,20 @@ import random
 
 import pytest
 
-from towerbound import zpoly
+from towerbound import report, zpoly
+
+
+def _add(a, b):
+    n = max(len(a), len(b))
+    return zpoly.normalize([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                            for i in range(n)])
+
+
+def _eval_at(p, x):
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def test_mul_agrees_with_evaluation():
@@ -13,7 +26,7 @@ def test_mul_agrees_with_evaluation():
         b = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 6))]
         prod = zpoly.mul(a, b)
         for x in (-3, -1, 0, 1, 2, 5):
-            assert zpoly.eval_at(prod, x) == zpoly.eval_at(a, x) * zpoly.eval_at(b, x)
+            assert _eval_at(prod, x) == _eval_at(a, x) * _eval_at(b, x)
 
 
 def test_divmod_roundtrip():
@@ -24,9 +37,9 @@ def test_divmod_roundtrip():
         ]
         q = [rng.randrange(-5, 6) for _ in range(rng.randrange(0, 5))]
         r = [rng.randrange(-5, 6) for _ in range(len(b) - 1)]
-        a = zpoly.add(zpoly.mul(q, b), r)
+        a = _add(zpoly.mul(q, b), r)
         quo, rem = zpoly.divmod_monicish(a, b)
-        assert zpoly.add(zpoly.mul(quo, b), rem) == zpoly.normalize(a)
+        assert _add(zpoly.mul(quo, b), rem) == zpoly.normalize(a)
         assert len(rem) < len(zpoly.normalize(b)) or not rem
 
 
@@ -65,7 +78,7 @@ def test_discriminant_pinned_cubic():
 
 
 def test_format_poly():
-    assert zpoly.format_poly([-1, -4, -1, 1]) == "x^3 - x^2 - 4*x - 1"
-    assert zpoly.format_poly([]) == "0"
-    assert zpoly.format_poly([5]) == "5"
-    assert zpoly.format_poly([0, -1]) == "-x"
+    assert report.format_poly([-1, -4, -1, 1]) == "x^3 - x^2 - 4*x - 1"
+    assert report.format_poly([]) == "0"
+    assert report.format_poly([5]) == "5"
+    assert report.format_poly([0, -1]) == "-x"
