@@ -71,6 +71,11 @@ KNOWN_CODES: dict[str, tuple[str, str]] = {
         "plan was built without inflating the place count for the gap term "
         "(s0 = 0), so claimed fine-Selmer rows rely on the gap vanishing",
     ),
+    "PROBABLE-PRIME": (
+        "warning",
+        "a Kummer or tower prime at or above 2^64 passed a strong-probable-prime "
+        "test with random witnesses, which is not a proof of primality",
+    ),
     "EXTERNAL-DATABASE-FACT": (
         "note",
         "a hypothesis was discharged using a standard-tables fact rather than "

@@ -3,7 +3,8 @@
 Elements of Z[zeta_m] are stored as integer coordinate tuples on the power
 basis 1, zeta, ..., zeta^(phi(m)-1), i.e. reduced modulo the m-th cyclotomic
 polynomial.  Splitting of an unramified rational prime q is computed from the
-multiplicative order of q mod m; no factorization of ideals is ever needed.
+multiplicative order of q mod m, read at m/2 when m = 2 (mod 4); no
+factorization of ideals is ever needed.
 Zeta-notation is parsed here and written by :mod:`towerbound.report`.
 """
 
@@ -53,23 +54,6 @@ class ElementParseError(ValueError):
     """Raised when a zeta-notation string does not match the accepted grammar."""
 
 
-@lru_cache(maxsize=None)
-def _cyclo_poly_coeffs(m: int) -> tuple[int, ...]:
-    """Coefficients (constant first) of the m-th cyclotomic polynomial.
-
-    Computed by exact division: Phi_m = (x^m - 1) / prod_{d | m, d < m} Phi_d.
-    """
-    if not 1 <= m <= sys.maxsize:  # Phi_m's m + 1 coefficients must fit a list
-        raise ValueError(f"conductor must be in [1, {sys.maxsize}]")
-    num = [0] * m + [1]
-    num[0] = -1
-    den = [1]
-    for d in range(1, m):
-        if m % d == 0:
-            den = zpoly.mul(den, list(_cyclo_poly_coeffs(d)))
-    return tuple(zpoly.div_exact(num, den))
-
-
 @dataclass(frozen=True)
 class CycloModulus:
     """The field Q(zeta_m): conductor, degree, and the reduction polynomial."""
@@ -78,15 +62,22 @@ class CycloModulus:
     phi: int
     poly: tuple[int, ...]  # m-th cyclotomic polynomial, constant term first
 
-    def __repr__(self) -> str:  # keep reprs short in test diffs
-        return f"CycloModulus(m={self.m})"
-
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> CycloModulus:
-    """Build the reduction data for Q(zeta_m)."""
-    coeffs = _cyclo_poly_coeffs(m)
-    return CycloModulus(m=m, phi=len(coeffs) - 1, poly=coeffs)
+    """Build the reduction data for Q(zeta_m).
+
+    Phi_m comes by exact division: Phi_m = (x^m - 1) / prod_{d | m, d < m} Phi_d.
+    """
+    if not 1 <= m <= sys.maxsize:  # Phi_m's m + 1 coefficients must fit a list
+        raise ValueError(f"conductor must be in [1, {sys.maxsize}]")
+    num = [-1] + [0] * (m - 1) + [1]
+    den = [1]
+    for d in range(1, m):
+        if m % d == 0:
+            den = zpoly.mul(den, list(cyclotomic_polynomial(d).poly))
+    poly = tuple(zpoly.div_exact(num, den))
+    return CycloModulus(m=m, phi=len(poly) - 1, poly=poly)
 
 
 def _reduce(mod: CycloModulus, raw: Sequence[int]) -> tuple[int, ...]:
@@ -329,31 +320,18 @@ def parse_cyclo_element(text: str, m: int) -> CycloElement:
     s = s.replace(" ", "")
     if not s:
         raise ElementParseError("empty element string")
-    # Split into signed terms; signs only occur between terms in the grammar.
-    terms: list[str] = []
-    cur = ""
-    for ch in s:
-        if ch in "+-" and cur:
-            terms.append(cur)
-            cur = ch if ch == "-" else ""
-        elif ch in "+-" and not cur:
-            cur = ch if ch == "-" else ""
-        else:
-            cur += ch
-    if cur in ("", "-"):
+    # Signs only occur between terms: a term keeps its "-" and drops its "+".
+    terms = [t[1:] if t[:1] == "+" else t for t in re.split("(?=[+-])", s)]
+    if terms[-1] in ("", "-"):
         raise ElementParseError(f"dangling sign in {text!r}")
-    terms.append(cur)
 
     raw = [0] * m
-    saw_term = False
-    for n, t in enumerate(terms, 1):
+    for n, t in enumerate(filter(None, terms), 1):
         mt = _TERM.match(t)
-        if not mt:
+        has_zeta = "zeta" in t
+        if not mt or mt[2] is None and not has_zeta:
             raise ElementParseError(f"bad term {t!r} in {text!r}")
         sign_s, digits, sub_cond, ascii_cond, exp_s = mt.groups()
-        has_zeta = "zeta" in t
-        if digits is None and not has_zeta:
-            raise ElementParseError(f"bad term {t!r} in {text!r}")
         cond_s = sub_cond or ascii_cond
         try:
             cond = int(cond_s) if cond_s is not None else m
@@ -372,9 +350,6 @@ def parse_cyclo_element(text: str, m: int) -> CycloElement:
         if sign_s == "-":
             coef = -coef
         raw[exp % m if has_zeta else 0] += coef
-        saw_term = True
-    if not saw_term:
-        raise ElementParseError(f"no terms found in {text!r}")
     return CycloElement.from_coeffs(mod, raw)
 
 
@@ -426,23 +401,21 @@ class SplittingData:
 def splitting_data(q: int, m: int) -> SplittingData:
     """Splitting of the rational prime q in Q(zeta_m), q unramified.
 
-    For an unramified q the residue degree is the multiplicative order of
-    q mod m and e*f*g = phi(m) with e = 1.  Conductors m <= 2 give the
-    rational field itself, where every prime trivially splits completely.
-    Raises :class:`RamifiedPrime` when q divides m (with the usual caveat
-    that m = 2q is really conductor q; no such m is used here).
+    Q(zeta_m) = Q(zeta_n) for n = m/2 when m = 2 (mod 4), and n = m
+    otherwise (Washington, Introduction to Cyclotomic Fields, Ch. 2).  For
+    q prime to n the residue degree is the multiplicative order of q mod n
+    and e*f*g = phi(n) with e = 1; over n = 1, the rationals, every prime
+    splits completely.  Raises :class:`RamifiedPrime` when q divides n.
     """
     if m < 1:
         raise ValueError("conductor must be >= 1")
     if not arith.is_prime(q):
         raise ValueError(f"{q} is not prime")
-    if m <= 2:
-        return SplittingData(q=q, m=m, e=1, f=1, g=1)
-    if m % q == 0:
+    n = m // 2 if m % 4 == 2 else m
+    if n % q == 0:
         raise RamifiedPrime(f"{q} divides the conductor {m}")
-    f = arith.mult_order(q, m)
-    phi = arith.euler_phi(m)
-    return SplittingData(q=q, m=m, e=1, f=f, g=phi // f)
+    f = arith.mult_order(q, n)
+    return SplittingData(q=q, m=m, e=1, f=f, g=arith.euler_phi(n) // f)
 
 
 @dataclass(frozen=True)
@@ -457,19 +430,21 @@ class PrimeAbove:
 def primes_above(q: int, m: int) -> tuple[PrimeAbove, ...]:
     """The phi(m) degree-1 primes above a totally split q, by ascending root.
 
-    q is taken to be prime; this is not checked.  For m > 2, q must not
-    divide m (:class:`RamifiedPrime`) and must be 1 mod m, i.e. have residue
-    degree 1 (:class:`NotTotallySplit` otherwise).  The roots of the m-th
-    cyclotomic polynomial mod q are the primitive m-th roots of unity
+    q is taken to be prime; this is not checked.  With n = m/2 when
+    m = 2 (mod 4) and n = m otherwise, as in :func:`splitting_data`, q must
+    not divide n (:class:`RamifiedPrime`) and must be 1 mod n, i.e. have
+    residue degree 1 (:class:`NotTotallySplit` otherwise).  The roots of the
+    m-th cyclotomic polynomial mod q are the primitive m-th roots of unity
     omega^k, gcd(k, m) = 1, for any one of them, omega; finding omega and its
     powers costs O(phi(m) log q).  The only even split prime is q = 2 over
-    m <= 2, where Phi_m = x + 1 mod 2 has the single root 1.
+    n = 1, where Phi_m = x + 1 mod 2 has the single root 1.
     """
     if m < 1:
         raise ValueError("conductor must be >= 1")
-    if m > 2 and m % q == 0:
+    n = m // 2 if m % 4 == 2 else m
+    if n % q == 0:
         raise RamifiedPrime(f"{q} divides the conductor {m}")
-    if m > 2 and q % m != 1:
+    if (q - 1) % n:
         raise NotTotallySplit(f"{q} is not 1 mod {m}, so its residue degree exceeds 1")
     if q == 2:
         roots = [1]

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from . import arith, cyclotomic, zpoly
+from . import arith, catalog, cyclotomic, zpoly
 from .catalog import Diagnostic
 from .report import base_label
 
@@ -251,16 +251,18 @@ class CyclotomicBase:
     @property
     def classes(self) -> tuple[int, frozenset[int]]:
         """(N, the classes mod N of the qualifying primes); see prime_qualifies."""
-        n = self.conductor if self.conductor > 2 else 1  # Q(zeta_2) = Q
+        c = self.conductor
+        n = c // 2 if c % 4 == 2 else c  # Q(zeta_c) = Q(zeta_(c/2)) for odd c/2
         return n, arith.unit_generators(n)
 
     def prime_qualifies(self, q: int) -> bool:
         """Whether the prime ``q`` is inert in Q(zeta_c), as the selection wants.
 
-        ``q`` must already be prime.  It is inert iff it does not divide c and
-        generates (Z/c)* (Washington, Introduction to Cyclotomic Fields,
-        Thm 2.13), so it qualifies iff q mod c is one of the generators; over
-        c <= 2 (the rationals) every prime counts.
+        ``q`` must already be prime.  Read at n = c/2 when c = 2 (mod 4), as
+        Q(zeta_c) = Q(zeta_n) there, and at n = c otherwise, it is inert iff
+        it does not divide n and generates (Z/n)* (Washington, Introduction
+        to Cyclotomic Fields, Thm 2.13), so it qualifies iff q mod n is one of
+        the generators; over n = 1 (the rationals) every prime counts.
         """
         n, residues = self.classes
         return q % n in residues
@@ -425,7 +427,8 @@ class RelativeCubicBase:
         f = self.cubic_conductor
         if f is None:
             return 1, frozenset()
-        step = self.base_conductor if self.base_conductor > 2 else 1
+        c = self.base_conductor
+        step = c // 2 if c % 4 == 2 else c  # Q(zeta_c) = Q(zeta_(c/2)) for odd c/2
         n = step * f
         return n, frozenset(
             r for r in range(1, n, step) if r % f and pow(r, (f - 1) // 3, f) != 1
@@ -435,14 +438,14 @@ class RelativeCubicBase:
         """Whether the prime ``q`` splits totally downstairs, then stays inert.
 
         ``q`` must already be prime.  It splits totally in Q(zeta_c) iff
-        q = 1 (mod c), or always over c <= 2.  An irreducible cubic of
-        discriminant f^2, f a prime = 1 (mod 3), has field discriminant f^2
-        (the quotient is a square, and no field has discriminant 1), so by the
-        conductor-discriminant formula (Washington, Introduction to Cyclotomic
-        Fields, Thm 3.11) it cuts out the cubic subfield of Q(zeta_f).  By the
-        Artin map, q != f stays inert there iff q is not a cube mod f, so q
-        qualifies iff its class mod cf (mod f over c <= 2) is in the set
-        :attr:`classes` builds once per base.  Any other cubic fails the
+        q = 1 (mod n), for n = c/2 when c = 2 (mod 4) and n = c otherwise.  An
+        irreducible cubic of discriminant f^2, f a prime = 1 (mod 3), has
+        field discriminant f^2 (the quotient is a square, and no field has
+        discriminant 1), so by the conductor-discriminant formula (Washington,
+        Introduction to Cyclotomic Fields, Thm 3.11) it cuts out the cubic
+        subfield of Q(zeta_f).  By the Artin map, q != f stays inert there iff
+        q is not a cube mod f, so q qualifies iff its class mod nf is in the
+        set :attr:`classes` builds once per base.  Any other cubic fails the
         ``base-cubic-cyclic`` validation item, and no prime qualifies for it.
         """
         n, residues = self.classes
@@ -641,5 +644,10 @@ def build_tower_plan(
         gap_rank=gap_rank,
         first_effective_layer=_first_effective_layer(base, group),
         validation=report,
-        diagnostics=tuple(extra_diagnostics),
+        diagnostics=(*extra_diagnostics, *(
+            catalog.make("PROBABLE-PRIME", f"{name} = {x} is at least 2^64, so its "
+                         f"primality rests on {arith._WIDE_WITNESS_COUNT} strong-probable-"
+                         f"prime rounds with random witnesses, not on a proof")
+            for name, x in (("ell", ell), ("p", group.p)) if x >= 2**64
+        )),
     )

@@ -88,6 +88,14 @@ def test_verify_factorization_parse_error_exits_2(run_cli):
     assert "does not match" in err
 
 
+def test_verify_factorization_lone_sign_exits_2(run_cli):
+    for factor in ("--1", "1-+2"):
+        code, out, err = run_cli("verify-factorization", "--conductor", "7",
+                                 "--target", "7", f"--factor={factor}")
+        assert (code, out) == (2, "")
+        assert err == f"verify-factorization: bad term '-' in {factor!r}\n"
+
+
 def test_split_command(run_cli):
     code, out, _ = run_cli("split", "43", "7", "--json")
     assert code == 0
@@ -104,6 +112,39 @@ def test_split_command(run_cli):
 
     code, _, err = run_cli("split", "6", "9")
     assert code == 2
+
+
+def test_split_reads_twice_an_odd_conductor_at_its_half(run_cli):
+    # Q(zeta_m) = Q(zeta_(m/2)) for odd m/2, so 2 does not ramify there.
+    for argv, line in (
+        (("split", "2", "6"), "2 in Q(zeta_6): e=1 f=2 g=1 - inert\n"),
+        (("split", "2", "10"), "2 in Q(zeta_10): e=1 f=4 g=1 - inert\n"),
+        (("split", "2", "14"), "2 in Q(zeta_14): e=1 f=3 g=2 - partially split\n"),
+        (("inert-primes", "6", "--count", "3"),
+         "first 3 primes inert in Q(zeta_6): 2, 5, 11\n"),
+        (("inert-primes", "3", "--count", "3"),
+         "first 3 primes inert in Q(zeta_3): 2, 5, 11\n"),
+    ):
+        assert run_cli(*argv) == (0, line, ""), argv
+
+
+def test_construct_flags_a_tower_prime_past_2_64_as_probable(run_cli):
+    # The first prime above 2^64 that is 2 mod 3; is_prime only tests it.
+    p = "18446744073709551629"
+    argv = ("construct", "--ell", "5", "--p", p, "--conductor", "3", "--rank-target", "2")
+    message = (f"p = {p} is at least 2^64, so its primality rests on 40 "
+               f"strong-probable-prime rounds with random witnesses, not on a proof")
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"caveats:\n  [warning:PROBABLE-PRIME] {message}\n")
+    code, out, err = run_cli(*argv, "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    want = [{"code": "PROBABLE-PRIME", "message": message, "severity": "warning"}]
+    assert doc["plan"]["diagnostics"] == doc["certificate"]["diagnostics"] == want
+    code, out, _ = run_cli("construct", "--ell", "5", "--p", str(2**53 + 57),
+                           "--conductor", "3", "--rank-target", "2")
+    assert code == 0 and "PROBABLE-PRIME" not in out and "caveats" not in out
 
 
 def test_json_integers_the_user_sets_past_2_53_are_strings(run_cli):

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from towerbound import arith, report, zpoly
+from towerbound.gf import PrimeField, distinct_degree_profile
 from towerbound.cyclotomic import (
+    _TERM,
     _translate_marks,
     CycloElement,
     ElementParseError,
@@ -401,6 +403,102 @@ def test_translate_marks_matches_the_character_loop():
         assert _translate_marks(s) == _translate_marks_loop(s), s
 
 
+def _parse_with_the_sign_loop(text, m):
+    """Reference: the parser as it was, splitting terms one character at a time."""
+    mod = cyclotomic_polynomial(m)
+    s = text.replace("−", "-").replace("–", "-")
+    s = _translate_marks(s).replace("ζ", "zeta")
+    s = s.replace(" ", "")
+    if not s:
+        raise ElementParseError("empty element string")
+    terms = []
+    cur = ""
+    for ch in s:
+        if ch in "+-" and cur:
+            terms.append(cur)
+            cur = ch if ch == "-" else ""
+        elif ch in "+-" and not cur:
+            cur = ch if ch == "-" else ""
+        else:
+            cur += ch
+    if cur in ("", "-"):
+        raise ElementParseError(f"dangling sign in {text!r}")
+    terms.append(cur)
+    raw = [0] * m
+    for n, t in enumerate(terms, 1):
+        mt = _TERM.match(t)
+        if not mt:
+            raise ElementParseError(f"bad term {t!r} in {text!r}")
+        sign_s, digits, sub_cond, ascii_cond, exp_s = mt.groups()
+        has_zeta = "zeta" in t
+        if digits is None and not has_zeta:
+            raise ElementParseError(f"bad term {t!r} in {text!r}")
+        cond_s = sub_cond or ascii_cond
+        try:
+            cond = int(cond_s) if cond_s is not None else m
+            coef = int(digits) if digits is not None else 1
+            exp = int(exp_s) if exp_s is not None else 1
+        except ValueError:
+            shown = t if len(t) <= 40 else f"{t[:20]}...{t[-10:]}"
+            raise ElementParseError(
+                f"term {n} ({shown!r}, {len(t)} characters) holds a number "
+                f"too long to read"
+            ) from None
+        if cond != m:
+            raise ElementParseError(f"conductor {cond_s} in {text!r} does not match {m}")
+        if sign_s == "-":
+            coef = -coef
+        raw[exp % m if has_zeta else 0] += coef
+    return CycloElement.from_coeffs(mod, raw)
+
+
+def _outcome(parse, text, m):
+    try:
+        return parse(text, m).coeffs
+    except ElementParseError as exc:
+        return type(exc), str(exc)
+
+
+def _grammar_element(rng):
+    """A valid element, or one a single wrong conductor away from it."""
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        coef = rng.choice(["", "", "1", "2", "14", "300"])
+        if rng.random() < 0.3:
+            terms.append(coef or "5")
+            continue
+        cond = rng.choice(["", "7", "7", "{7}", "₇", "₇", "5", "₅"])
+        exp = rng.choice(["", "^2", "^9", "³", "¹⁰", "^0"])
+        star = "*" if coef and rng.random() < 0.5 else ""
+        terms.append(f"{coef}{star}{rng.choice(['zeta', 'ζ'])}{cond}{exp}")
+    text = rng.choice(["", "-", "−", "+"]) + terms[0]
+    for t in terms[1:]:
+        text += rng.choice([" + ", " - ", " − ", " – ", "+", "-", " +-", "--"]) + t
+    return text
+
+
+def test_parse_matches_the_sign_loop_it_replaced():
+    # Seeded strings over the grammar's alphabet, most of them malformed, then
+    # grammar-generated elements: both parsers give the same coefficients or
+    # raise the same error with the same message.
+    alphabet = ["0", "1", "2", "7", "9", "+", "+", "-", "-", "−", "–", " ", "*",
+                "^", "{", "}", "zeta", "zeta", "ζ", "ζ", "₁", "₇", "₉", "²", "³", "⁹"]
+    rng = random.Random(18)
+    parsed = 0
+    for i in range(200_000):
+        s = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 10)))
+        m = 7 if i % 4 else rng.choice((1, 2, 9))
+        want = _outcome(_parse_with_the_sign_loop, s, m)
+        assert _outcome(parse_cyclo_element, s, m) == want, (s, m)
+        parsed += not isinstance(want[0], type)
+    for _ in range(20_000):
+        s = _grammar_element(rng)
+        want = _outcome(_parse_with_the_sign_loop, s, 7)
+        assert _outcome(parse_cyclo_element, s, 7) == want, s
+        parsed += not isinstance(want[0], type)
+    assert parsed > 20_000  # the comparison reaches the coefficients, not only errors
+
+
 def test_parse_rejects_numbers_too_long_to_read():
     # 4401 digits is past CPython's default int-from-text limit of 4300.
     long = "7" * 4401
@@ -448,6 +546,22 @@ def test_splitting_data_rationals_and_errors():
         splitting_data(3, 9)
     with pytest.raises(ValueError):
         splitting_data(6, 5)
+
+
+def test_two_over_twice_an_odd_conductor_matches_the_profile_of_phi_m():
+    # Q(zeta_m) = Q(zeta_(m/2)) for odd m/2, so 2 is unramified there; the
+    # degree profile of Phi_m mod 2, a squarefree reduction, is the oracle.
+    F2 = PrimeField(2)
+    for m in range(2, 200, 4):
+        sd = splitting_data(2, m)
+        profile = distinct_degree_profile(F2, [c % 2 for c in cyclotomic_polynomial(m).poly])
+        assert profile == ((sd.f, sd.g),) and sd.e == 1, m
+        if m > 2:
+            with pytest.raises(NotTotallySplit):
+                primes_above(2, m)
+    assert [p.root for p in primes_above(2, 2)] == [1]
+    with pytest.raises(RamifiedPrime):
+        primes_above(2, 12)
 
 
 def test_is_inert_matches_primitive_root():

@@ -7,7 +7,7 @@ status and detail - and that ``towerbound reproduce`` prints it and exits 1.
 
 import dataclasses
 
-from towerbound import fixtures, gf
+from towerbound import fixtures, gf, tower
 from towerbound.reproduce import run_reproduction
 
 
@@ -81,3 +81,15 @@ def test_pinned_prime_that_does_not_qualify_fails_construction(run_cli, monkeypa
                   "not qualify for Q(zeta_7)(theta), theta^3 - theta^2 - "
                   "4*theta - 1 = 0)")
     assert run_reproduction("example3").plan is None
+
+
+def test_pinned_prime_that_does_not_split_totally_is_caught_by_its_efg(run_cli, monkeypatch):
+    # A wrong class table lets 13 through, though 13 = 6 (mod 7) has residue
+    # degree 2 in Q(zeta_7); splitting_data, the independent route, finds it.
+    n, residues = fixtures.get_fixture("example3").base.classes
+    monkeypatch.setattr(tower.RelativeCubicBase, "classes",
+                        property(lambda base: (n, residues | {13 % n})))
+    primes = fixtures.get_fixture("example3").pinned_primes
+    _tamper(monkeypatch, "example3", pinned_primes=(13,) + primes[1:])
+    _assert_check(run_cli, "example3", "prime-qualification", "fail",
+                  "13 has (e,f,g)=(1,2,3)")

@@ -171,6 +171,22 @@ def test_build_plan_smallest_case():
     assert plan.gap_rank is None
 
 
+def test_first_effective_layer_above_0_over_the_bundled_cubic(run_cli):
+    # Layer n of the cubic base has degree phi(7) * 7^n = 6 * 7^n, and the
+    # bookkeeping starts at the least n where that reaches 2 * dimension:
+    # n rises past each dimension 3 * 7^n.
+    code, out, err = run_cli("construct", "--base", "bundled-cubic", "--ell", "3",
+                             "--p", "7", "--dimension", "4", "--rank-target", "2",
+                             "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["plan"]["first_effective_layer"] == 1
+    for dim, layer in ((3, 0), (4, 1), (21, 1), (22, 2), (147, 2), (148, 3)):
+        group = GroupSpec(p=7, dimension=dim, action_order=3)
+        plan = build_tower_plan(3, group, bundled_cubic_base(7), 2)
+        assert plan.first_effective_layer == layer, dim
+        assert min(n for n in range(8) if 6 * 7**n >= 2 * dim) == layer, dim
+
+
 def test_build_plan_rejects_equal_primes():
     with pytest.raises(EqualPrimes):
         build_tower_plan(3, ABELIAN_1, CyclotomicBase(3), 2)
