@@ -10,7 +10,7 @@ rule id and the numbers substituted in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import catalog, report
 from .catalog import Diagnostic
@@ -35,8 +35,7 @@ class PlanNotInflated(ValueError):
     """Raised when fine-Selmer rows are requested from a plan with no declared gap rank."""
 
 
-@dataclass(frozen=True)
-class AbelianVarietyDesc:
+class AbelianVarietyDesc(NamedTuple):
     """The facts about an abelian variety that the fine-Selmer chain consumes."""
 
     label: str
@@ -46,8 +45,7 @@ class AbelianVarietyDesc:
     provenance: str = "external-database"
 
 
-@dataclass(frozen=True)
-class CertificateRow:
+class CertificateRow(NamedTuple):
     """All certified quantities at a single tower layer, in column order."""
 
     layer: int
@@ -59,16 +57,14 @@ class CertificateRow:
     fine_conservative: int | None = None
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One asserted inequality: a stable rule id plus the instantiated statement."""
 
     rule: str
     statement: str
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """Per-layer certified bounds with their inequality trace and caveats."""
 
     av: AbelianVarietyDesc | None

@@ -8,13 +8,14 @@ code 0 while still reporting exactly what does not line up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-__all__ = ["Diagnostic", "KNOWN_CODES", "make"]
+from .arith import _WIDE_WITNESS_COUNT
+
+__all__ = ["Diagnostic", "KNOWN_CODES", "make", "probable_primes"]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """A single catalogued finding attached to a run."""
 
     code: str
@@ -73,7 +74,7 @@ KNOWN_CODES: dict[str, tuple[str, str]] = {
     ),
     "PROBABLE-PRIME": (
         "warning",
-        "a Kummer or tower prime at or above 2^64 passed a strong-probable-prime "
+        "a prime the tool names, at or above 2^64, passed a strong-probable-prime "
         "test with random witnesses, which is not a proof of primality",
     ),
     "EXTERNAL-DATABASE-FACT": (
@@ -90,3 +91,13 @@ def make(code: str, message: str) -> Diagnostic:
         raise KeyError(f"diagnostic code {code!r} is not catalogued")
     severity = KNOWN_CODES[code][0]
     return Diagnostic(code=code, severity=severity, message=message)
+
+
+def probable_primes(**named: int) -> tuple[Diagnostic, ...]:
+    """PROBABLE-PRIME for each named prime at or above 2^64, in argument order."""
+    return tuple(
+        make("PROBABLE-PRIME", f"{name} = {x} is at least 2^64, so its primality rests "
+             f"on {_WIDE_WITNESS_COUNT} strong-probable-prime rounds with random "
+             f"witnesses, not on a proof")
+        for name, x in named.items() if x >= 2**64
+    )

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from . import arith, cyclotomic, report
+from . import arith, catalog, cyclotomic, report
 from .bounds import build_certificate
 from .fixtures import (
     BUNDLED_AV,
@@ -286,7 +286,8 @@ def cmd_split(args: argparse.Namespace) -> tuple[int, str, dict]:
         sd = cyclotomic.splitting_data(args.prime, args.conductor)
     except cyclotomic.RamifiedPrime:
         sd = None  # a result, not an error: reported, with exit 1
-    data = {"conductor": args.conductor, "prime": args.prime, "sd": sd}
+    data = {"conductor": args.conductor, "prime": args.prime, "sd": sd,
+            "diagnostics": catalog.probable_primes(prime=args.prime)}
     return 0 if sd else 1, "splitting", data
 
 

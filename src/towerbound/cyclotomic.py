@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice, takewhile
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import arith, zpoly
 
@@ -54,8 +53,7 @@ class ElementParseError(ValueError):
     """Raised when a zeta-notation string does not match the accepted grammar."""
 
 
-@dataclass(frozen=True)
-class CycloModulus:
+class CycloModulus(NamedTuple):
     """The field Q(zeta_m): conductor, degree, and the reduction polynomial."""
 
     m: int
@@ -81,14 +79,19 @@ def cyclotomic_polynomial(m: int) -> CycloModulus:
 
 
 def _reduce(mod: CycloModulus, raw: Sequence[int]) -> tuple[int, ...]:
-    """Reduce an integer polynomial in zeta to the power basis."""
+    """Reduce an integer polynomial in zeta to the power basis.
+
+    Folding mod x^m - 1 first, which Phi_m divides, leaves m - phi division steps.
+    """
+    m = mod.m
+    if len(raw) > m:
+        raw = [sum(raw[i::m]) for i in range(m)]
     _, rem = zpoly.divmod_monicish(list(raw), list(mod.poly))
     rem = rem + [0] * (mod.phi - len(rem))
     return tuple(rem)
 
 
-@dataclass(frozen=True)
-class CycloElement:
+class CycloElement(NamedTuple):
     """An element of Z[zeta_m] on the power basis."""
 
     modulus: CycloModulus
@@ -134,6 +137,9 @@ class CycloElement:
         self._check(other)
         raw = zpoly.mul(list(self.coeffs), list(other.coeffs))
         return CycloElement.from_coeffs(self.modulus, raw)
+
+    def __rmul__(self, other: object) -> "CycloElement":
+        return NotImplemented  # not tuple repetition: 2 * el raises TypeError
 
     # -- structure ----------------------------------------------------
 
@@ -298,7 +304,8 @@ def _crt(residues: list[int], primes: list[int]) -> tuple[int, int]:
 
 _UNSUB = str.maketrans("₀₁₂₃₄₅₆₇₈₉", "0123456789")
 _UNSUP = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
-_TERM = re.compile(r"^(-?)(\d+)?(?:\*?zeta(?:\{(\d+)\}|(\d+))?(?:\^(\d+))?)?$")
+# \Z, not $: "$" also matches before a final newline, which the grammar lacks
+_TERM = re.compile(r"^(-?)(\d+)?(?:\*?zeta(?:\{(\d+)\}|(\d+))?(?:\^(\d+))?)?\Z")
 
 
 def _translate_marks(s: str) -> str:
@@ -373,22 +380,19 @@ def match_up_to_unit(el: CycloElement, target: int) -> tuple[int, int] | None:
     if any(c % target for c in el.coeffs):
         return None
     unit = tuple(c // target for c in el.coeffs)
-    mod = el.modulus
-    z = (1,) + (0,) * (mod.phi - 1)
-    for k in range(mod.m):
+    m, phi, poly = el.modulus
+    z = (1,) + (0,) * (phi - 1)
+    for k in range(m):
         if unit == z:
             return (1, k)
         if unit == tuple(-c for c in z):
             return (-1, k)
         top = z[-1]
-        z = tuple(
-            (z[i - 1] if i else 0) - top * mod.poly[i] for i in range(mod.phi)
-        )
+        z = tuple((z[i - 1] if i else 0) - top * poly[i] for i in range(phi))
     return None
 
 
-@dataclass(frozen=True)
-class SplittingData:
+class SplittingData(NamedTuple):
     """Ramification/residue data (e, f, g) for a rational prime q in Q(zeta_m)."""
 
     q: int
@@ -418,8 +422,7 @@ def splitting_data(q: int, m: int) -> SplittingData:
     return SplittingData(q=q, m=m, e=1, f=f, g=arith.euler_phi(n) // f)
 
 
-@dataclass(frozen=True)
-class PrimeAbove:
+class PrimeAbove(NamedTuple):
     """A degree-1 prime of Z[zeta_m] above q, as the ideal (q, zeta - root)."""
 
     q: int

@@ -9,7 +9,7 @@ diagnostic catalogue instead of silently repairing them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import catalog
 from .bounds import AbelianVarietyDesc
@@ -113,8 +113,7 @@ _AV_19A1 = AbelianVarietyDesc(
 BUNDLED_AV = {av.label: av for av in (_AV_11A1, _AV_19A1)}
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     """One worked example: its construction inputs and pinned outputs."""
 
     fixture_id: str

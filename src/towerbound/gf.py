@@ -21,8 +21,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from . import arith, cyclotomic, zpoly
 
@@ -61,27 +60,29 @@ FqElement = Union[int, tuple]
 FqPoly = list
 
 
-@dataclass(frozen=True)
 class PrimeField:
     """The field Z/qZ for a prime q; elements are ints in [0, q), their own codes."""
 
-    q: int
+    __slots__ = ("q",)  # not a tuple, whose fields read slower: the kernel reads q per call
+    zero, one = 0, 1
 
-    def __post_init__(self) -> None:
-        if not arith.is_prime(self.q):
-            raise ValueError(f"{self.q} is not prime")
+    def __init__(self, q: int) -> None:
+        if not arith.is_prime(q):
+            raise ValueError(f"{q} is not prime")
+        self.q = q
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is PrimeField and other.q == self.q
+
+    def __hash__(self) -> int:
+        return hash(self.q)
+
+    def __repr__(self) -> str:
+        return f"PrimeField(q={self.q!r})"
 
     @property
     def size(self) -> int:
         return self.q
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
     def from_int(self, n: int) -> int:
         return n % self.q
@@ -107,27 +108,25 @@ class PrimeField:
             out[j] = (out[j] + c * y) % q
 
 
-@dataclass(frozen=True)
-class ExtensionField:
+class ExtensionField(NamedTuple("ExtensionField", [("q", int), ("degree", int),
+                                                   ("generator", tuple)])):
     """The field F_{q^degree} = (Z/qZ)[y] modulo a monic irreducible generator.
 
     Elements are coordinate tuples of length ``degree`` (constant first).
-    The generator is re-certified irreducible at construction time.
+    The generator (monic, length degree + 1, constant first) is re-certified
+    irreducible at construction time; ``base`` is Z/qZ, outside the tuple.
     """
 
-    q: int
-    degree: int
-    generator: tuple[int, ...]  # monic, length degree + 1, constant first
-    base: PrimeField = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.degree < 2:
+    def __new__(cls, q: int, degree: int, generator: tuple[int, ...]) -> ExtensionField:
+        if degree < 2:
             raise ValueError("extension degree must be >= 2")
-        if len(self.generator) != self.degree + 1 or self.generator[-1] != 1:
+        if len(generator) != degree + 1 or generator[-1] != 1:
             raise ValueError("generator must be monic of the stated degree")
-        object.__setattr__(self, "base", PrimeField(self.q))
-        if not is_irreducible(self.base, self.generator):
+        self = super().__new__(cls, q, degree, generator)
+        self.base = PrimeField(q)
+        if not is_irreducible(self.base, generator):
             raise ValueError("generator polynomial is not irreducible")
+        return self
 
     @functools.cached_property
     def codes(self) -> _Coords:

@@ -13,7 +13,6 @@ may import it.
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from functools import cache
 from json import JSONEncoder
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -171,8 +170,8 @@ def text_block(kind: str, data: dict) -> str:
 
 
 def _records(items) -> list[dict]:
-    """Pure records (diagnostics, trace steps, checks) map 1:1 onto JSON."""
-    return [asdict(it) for it in items]
+    """Flat records (diagnostics, trace steps) map 1:1 onto JSON."""
+    return [it._asdict() for it in items]
 
 
 def _diagnostic_line(d) -> str:
@@ -221,7 +220,7 @@ def _plan_doc(plan) -> dict:
     if poly is not None:
         base["relative_poly"] = format_poly(poly)
     group = {k: json_safe_int(v) if type(v) is int else v
-             for k, v in asdict(plan.group).items()}
+             for k, v in plan.group._asdict().items()}
     doc: dict = {
         "ell": json_safe_int(plan.ell),
         "p": json_safe_int(plan.p),
@@ -267,7 +266,7 @@ def certificate_doc(cert) -> dict:
     return {
         "n_max": cert.n_max,
         "gap_rank": cert.gap_rank,
-        "abelian_variety": asdict(cert.av) if cert.av else None,
+        "abelian_variety": cert.av._asdict() if cert.av else None,
         "rows": [_row_doc(r) for r in cert.rows],
         "trace": _records(cert.trace),
         "diagnostics": _records(cert.diagnostics),
@@ -309,7 +308,7 @@ def _run_body(r) -> dict:
     return {
         "fixture": r.fixture_id,
         "title": r.title,
-        "checks": _records(r.checks),
+        "checks": [{**c._asdict(), "diagnostics": _records(c.diagnostics)} for c in r.checks],
         "diagnostics": _records(r.all_diagnostics()),
         "result": r.result,
         "plan": _plan_doc(r.plan) if r.plan else None,
@@ -397,7 +396,7 @@ def _factor_check_lines(d: dict) -> list[str]:
 
 
 def _splitting_body(d: dict) -> dict:
-    sd = d["sd"]
+    sd, diags = d["sd"], d["diagnostics"]
     return {
         "conductor": d["conductor"],
         "prime": json_safe_int(d["prime"]),
@@ -405,15 +404,16 @@ def _splitting_body(d: dict) -> dict:
         "e": sd.e if sd else None,
         "f": sd.f if sd else None,
         "g": sd.g if sd else None,
+        **({"diagnostics": _records(diags)} if diags else {}),  # only with a caveat
     }
 
 
 def _splitting_lines(d: dict) -> list[str]:
     sd = d["sd"]
-    head = f"{d['prime']} in Q(zeta_{d['conductor']}): "
-    if sd is None:
-        return [head + "ramified (divides the conductor)"]
-    return [head + f"e={sd.e} f={sd.f} g={sd.g} - {classification(sd)}"]
+    found = ("ramified (divides the conductor)" if sd is None
+             else f"e={sd.e} f={sd.f} g={sd.g} - {classification(sd)}")
+    return [f"{d['prime']} in Q(zeta_{d['conductor']}): {found}",
+            *map(_diagnostic_line, d["diagnostics"])]
 
 
 #: kind -> (JSON body, text lines); each function takes the data a command returns

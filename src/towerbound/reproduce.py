@@ -8,8 +8,7 @@ while stating exactly what differs; anything uncatalogued is a hard failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import arith, catalog, cyclotomic, gf, zpoly
 from .bounds import BoundCertificate, build_certificate
@@ -25,8 +24,7 @@ WARN = "warning"
 FAIL = "fail"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One reproduction check: recomputed vs pinned, with any diagnostics."""
 
     name: str
@@ -35,8 +33,7 @@ class CheckResult:
     diagnostics: tuple[Diagnostic, ...] = ()
 
 
-@dataclass(frozen=True)
-class ReproductionResult:
+class ReproductionResult(NamedTuple):
     """Everything one reproduction run produced."""
 
     fixture_id: str
@@ -59,18 +56,13 @@ class ReproductionResult:
         return 1 if self.result == "fail" else 0
 
     def all_diagnostics(self) -> tuple[Diagnostic, ...]:
-        seen: dict[tuple[str, str], Diagnostic] = {}
-        sources: list[tuple[Diagnostic, ...]] = []
+        """The plan's, the checks' and the certificate's diagnostics, each once, in order."""
+        groups = [c.diagnostics for c in self.checks]
         if self.plan is not None:
-            sources.append(self.plan.diagnostics)
-        for c in self.checks:
-            sources.append(c.diagnostics)
+            groups.insert(0, self.plan.diagnostics)
         if self.certificate is not None:
-            sources.append(self.certificate.diagnostics)
-        for group in sources:
-            for d in group:
-                seen.setdefault((d.code, d.message), d)
-        return tuple(seen.values())
+            groups.append(self.certificate.diagnostics)
+        return tuple(dict.fromkeys(d for group in groups for d in group))
 
 
 def run_reproduction(fixture_id: str, n_max: int = 4) -> ReproductionResult:

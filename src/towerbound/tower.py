@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from . import arith, catalog, cyclotomic, zpoly
 from .catalog import Diagnostic
@@ -42,8 +41,7 @@ class EqualPrimes(ValueError):
     """Raised when the Kummer prime and the tower prime coincide."""
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     """One validated condition: what was checked, whether it holds, and why."""
 
     name: str
@@ -51,8 +49,7 @@ class CheckItem:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """The full list of conditions a construction was checked against."""
 
     items: tuple[CheckItem, ...]
@@ -79,8 +76,7 @@ FAMILY_ABELIAN = "abelian"
 FAMILY_NILPOTENT = "nilpotent-class-2"
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """A uniform pro-p group of finite rank with a cyclic action on top.
 
     ``family`` picks the shape: ``abelian`` is the free abelian pro-p group of
@@ -201,8 +197,7 @@ def ramified_place_target(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CyclotomicBase:
+class CyclotomicBase(NamedTuple):
     """Base field Q(zeta_c): the degree-2 step is complex conjugation."""
 
     conductor: int
@@ -281,8 +276,7 @@ def _single_place_degree(p: int, c: int) -> int:
     return arith.euler_phi(r) if p % r in arith.unit_generators(r) else 0
 
 
-@dataclass(frozen=True)
-class RelativeCubicBase:
+class RelativeCubicBase(NamedTuple):
     """Base field Q(zeta_c)(theta) for a monic integer cubic satisfied by theta.
 
     ``class_number`` is the field's class number, taken from standard tables;
@@ -400,39 +394,15 @@ class RelativeCubicBase:
             ),
         ]
 
-    @functools.cached_property
+    @property
     def cubic_conductor(self) -> int | None:
-        """The prime f = 1 (mod 3) with discriminant f^2, or None for any other poly.
+        """The prime f = 1 (mod 3) with discriminant f^2, or None for any other poly."""
+        return _cubic_conductor(self.poly)
 
-        A monic integer cubic with this discriminant is irreducible over Q.
-        Three integer roots a, b, c give the square of (a-b)(b-c)(c-a), which
-        is even, while f is odd; a root a times an irreducible quadratic g
-        gives D g(a)^2, with D the discriminant of g, which is not a square.
-        """
-        if len(self.poly) != 4 or self.poly[-1] != 1:
-            return None
-        disc = zpoly.discriminant(list(self.poly))
-        f = math.isqrt(max(disc, 0))
-        if f * f != disc or f % 3 != 1 or not arith.is_prime(f):
-            return None
-        return f
-
-    @functools.cached_property
+    @property
     def classes(self) -> tuple[int, frozenset[int]]:
-        """(N, the classes mod N of the qualifying primes); see prime_qualifies.
-
-        The set is empty unless the cubic is irreducible with discriminant
-        f^2 for a prime f = 1 (mod 3) that does not divide the conductor.
-        """
-        f = self.cubic_conductor
-        if f is None:
-            return 1, frozenset()
-        c = self.base_conductor
-        step = c // 2 if c % 4 == 2 else c  # Q(zeta_c) = Q(zeta_(c/2)) for odd c/2
-        n = step * f
-        return n, frozenset(
-            r for r in range(1, n, step) if r % f and pow(r, (f - 1) // 3, f) != 1
-        )
+        """(N, the classes mod N of the qualifying primes); see prime_qualifies."""
+        return _cubic_classes(self.base_conductor, self.poly)
 
     def prime_qualifies(self, q: int) -> bool:
         """Whether the prime ``q`` splits totally downstairs, then stays inert.
@@ -452,6 +422,41 @@ class RelativeCubicBase:
         return q % n in residues
 
 
+@functools.cache
+def _cubic_conductor(poly: tuple[int, ...]) -> int | None:
+    """The prime f = 1 (mod 3) with disc(poly) = f^2, or None for any other poly.
+
+    A monic integer cubic with this discriminant is irreducible over Q.
+    Three integer roots a, b, c give the square of (a-b)(b-c)(c-a), which
+    is even, while f is odd; a root a times an irreducible quadratic g
+    gives D g(a)^2, with D the discriminant of g, which is not a square.
+    """
+    if len(poly) != 4 or poly[-1] != 1:
+        return None
+    disc = zpoly.discriminant(list(poly))
+    f = math.isqrt(max(disc, 0))
+    if f * f != disc or f % 3 != 1 or not arith.is_prime(f):
+        return None
+    return f
+
+
+@functools.cache
+def _cubic_classes(c: int, poly: tuple[int, ...]) -> tuple[int, frozenset[int]]:
+    """:attr:`RelativeCubicBase.classes`, built once per (conductor, cubic).
+
+    The set is empty unless the cubic is irreducible with discriminant
+    f^2 for a prime f = 1 (mod 3) that does not divide the conductor.
+    """
+    f = _cubic_conductor(poly)
+    if f is None:
+        return 1, frozenset()
+    step = c // 2 if c % 4 == 2 else c  # Q(zeta_c) = Q(zeta_(c/2)) for odd c/2
+    n = step * f
+    return n, frozenset(
+        r for r in range(1, n, step) if r % f and pow(r, (f - 1) // 3, f) != 1
+    )
+
+
 BaseField = Union[CyclotomicBase, RelativeCubicBase]
 
 
@@ -469,24 +474,22 @@ def select_primes(
     return arith.primes_ascending(count, None, exclude, ceiling, classes=base.classes)
 
 
-@dataclass(frozen=True)
-class PlaceRef:
+class PlaceRef(NamedTuple):
     """A place of the base field above a selected rational prime."""
 
     q: int
     root: int | None = None  # root of the conductor's cyclotomic poly mod q
 
 
-@dataclass(frozen=True)
-class TowerPlan:
+class TowerPlan(NamedTuple):
     """A fully validated construction plan with its selected data.
 
     ``gap_rank`` is the declared rank of the comparison gap between the two
     class-group variants, or None when the plan declares no fine-Selmer
     intent; a positive one inflates ``effective_rank_target`` by twice
     itself.  :attr:`layer_degree` is the ground layer's degree d0; layer n
-    has degree d0 * p^n.  Its places are derived on first read of
-    :attr:`selected_places`, since only JSON prints them; a count is
+    has degree d0 * p^n.  Its places are derived when :attr:`selected_places`
+    is read, which only the JSON renderer does, once; a count is
     ``len(selected_primes) * base.places_per_prime``.
     """
 
@@ -505,7 +508,7 @@ class TowerPlan:
     validation: ValidationReport
     diagnostics: tuple[Diagnostic, ...]
 
-    @functools.cached_property
+    @property
     def selected_places(self) -> tuple[PlaceRef, ...]:
         """One place per prime, or per root of Phi_c mod q over a relative base."""
         if self.base.places_per_prime == 1:
@@ -644,10 +647,5 @@ def build_tower_plan(
         gap_rank=gap_rank,
         first_effective_layer=_first_effective_layer(base, group),
         validation=report,
-        diagnostics=(*extra_diagnostics, *(
-            catalog.make("PROBABLE-PRIME", f"{name} = {x} is at least 2^64, so its "
-                         f"primality rests on {arith._WIDE_WITNESS_COUNT} strong-probable-"
-                         f"prime rounds with random witnesses, not on a proof")
-            for name, x in (("ell", ell), ("p", group.p)) if x >= 2**64
-        )),
+        diagnostics=(*extra_diagnostics, *catalog.probable_primes(ell=ell, p=group.p)),
     )

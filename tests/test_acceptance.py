@@ -13,7 +13,6 @@ by exactly 431, and that the reproduction machinery diagnoses this as
 EX1-ALPHA-EXTRA-PRIME instead of silently repairing it.
 """
 
-import dataclasses
 import itertools
 import json
 import math
@@ -177,7 +176,7 @@ def test_ex1_extra_prime_diagnostic_only_for_the_next_qualifying_prime():
     for extra in (431, 443, 2, 3):
         assert _naive_is_prime(extra)
         check = reproduce._check_kummer_element(
-            dataclasses.replace(fx, pinned_alpha=product * extra), plan
+            fx._replace(pinned_alpha=product * extra), plan
         )
         codes = [d.code for d in check.diagnostics]
         if extra == 431:

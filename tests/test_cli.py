@@ -96,6 +96,14 @@ def test_verify_factorization_lone_sign_exits_2(run_cli):
         assert err == f"verify-factorization: bad term '-' in {factor!r}\n"
 
 
+def test_verify_factorization_term_ending_in_a_newline_exits_2(run_cli):
+    # The grammar has no newline; "$" alone would accept one ending a term.
+    code, out, err = run_cli("verify-factorization", "--conductor", "7", "--target", "3",
+                             "--factor", "1\n+2")
+    assert (code, out) == (2, "")
+    assert err == "verify-factorization: bad term '1\\n' in '1\\n+2'\n"
+
+
 def test_split_command(run_cli):
     code, out, _ = run_cli("split", "43", "7", "--json")
     assert code == 0
@@ -145,6 +153,22 @@ def test_construct_flags_a_tower_prime_past_2_64_as_probable(run_cli):
     code, out, _ = run_cli("construct", "--ell", "5", "--p", str(2**53 + 57),
                            "--conductor", "3", "--rank-target", "2")
     assert code == 0 and "PROBABLE-PRIME" not in out and "caveats" not in out
+
+
+def test_split_flags_a_prime_past_2_64_as_probable(run_cli):
+    q = "18446744073709551629"
+    message = (f"prime = {q} is at least 2^64, so its primality rests on 40 "
+               f"strong-probable-prime rounds with random witnesses, not on a proof")
+    code, out, err = run_cli("split", q, "7")
+    assert (code, out, err) == (
+        0, f"{q} in Q(zeta_7): e=1 f=1 g=6 - totally split\n"
+           f"[warning:PROBABLE-PRIME] {message}\n", "")
+    code, out, err = run_cli("split", q, "7", "--json")
+    assert (code, err) == (0, "")
+    want = [{"code": "PROBABLE-PRIME", "message": message, "severity": "warning"}]
+    assert json.loads(out)["diagnostics"] == want
+    code, out, _ = run_cli("split", str(2**64 - 59), "7", "--json")  # the largest prime below
+    assert code == 0 and "diagnostics" not in json.loads(out)
 
 
 def test_json_integers_the_user_sets_past_2_53_are_strings(run_cli):

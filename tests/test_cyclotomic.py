@@ -7,6 +7,7 @@ from towerbound import arith, report, zpoly
 from towerbound.gf import PrimeField, distinct_degree_profile
 from towerbound.cyclotomic import (
     _TERM,
+    _reduce,
     _translate_marks,
     CycloElement,
     ElementParseError,
@@ -96,6 +97,24 @@ def test_modulus_mismatch():
     b = CycloElement.integer(cyclotomic_polynomial(5), 1)
     with pytest.raises(ModulusMismatch):
         _ = a + b
+
+
+def test_an_int_times_an_element_raises():
+    # Elements are tuples underneath; 2 * a must not repeat the tuple.
+    a = CycloElement.integer(cyclotomic_polynomial(7), 3)
+    with pytest.raises(TypeError):
+        _ = 2 * a
+
+
+def test_reduce_folds_mod_x_m_minus_1_like_the_division_by_phi_m():
+    # Phi_m divides x^m - 1, so folding before dividing keeps the remainder.
+    rng = random.Random(130)
+    for m in range(1, 130):
+        mod = cyclotomic_polynomial(m)
+        for _ in range(20):
+            raw = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 3 * m))]
+            _, rem = zpoly.divmod_monicish(raw, list(mod.poly))
+            assert _reduce(mod, raw) == tuple(rem + [0] * (mod.phi - len(rem))), (m, raw)
 
 
 # ---------------------------------------------------------------------------

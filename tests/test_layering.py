@@ -4,6 +4,9 @@ from their source with ``ast``, and the names the benchmark's tracer wraps."""
 import ast
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from towerbound import arith
@@ -119,3 +122,15 @@ def test_the_tracers_hooks_resolve_in_the_package():
     # the prime-search wrapper passes the predicate second, by position
     params = list(inspect.signature(arith.primes_ascending).parameters)
     assert params[1] == "predicate"
+
+
+def test_the_cli_starts_without_dataclasses_or_inspect():
+    # Importing them cost about two thirds of the CLI's start-up (`setup_s`):
+    # inspect pulls in ast, dis and tokenize.  A fresh interpreter shows what
+    # importing the CLI alone loads.
+    env = {**os.environ, "PYTHONPATH": str(PKG.parent)}
+    code = ("import sys, towerbound.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out == "[]\n"

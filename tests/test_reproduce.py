@@ -5,15 +5,13 @@ verdict) for a wrong one, then asserts the check that catches it - its name,
 status and detail - and that ``towerbound reproduce`` prints it and exits 1.
 """
 
-import dataclasses
-
 from towerbound import fixtures, gf, tower
 from towerbound.reproduce import run_reproduction
 
 
 def _tamper(monkeypatch, fid, **changes):
     fx = fixtures._FIXTURES[fid]
-    monkeypatch.setitem(fixtures._FIXTURES, fid, dataclasses.replace(fx, **changes))
+    monkeypatch.setitem(fixtures._FIXTURES, fid, fx._replace(**changes))
 
 
 def _assert_check(run_cli, fid, name, status, detail):
