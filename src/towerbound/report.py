@@ -4,7 +4,8 @@ Domain objects carry data only; this module alone knows how they look.  One
 term renderer writes integer polynomials (``x^3 - x^2 - 4*x - 1``) and
 zeta-notation (``2ζ₇³ + 1``, or ``2zeta7^3 + 1`` in ASCII), every integer
 through ``arith.format_decimal``; small label functions name the group, the
-base field, its fixed subfield and a prime's splitting type.  Each document
+base field, its fixed subfield and a prime's splitting type.  Certificate
+cells are read off the certificate's column table.  Each document
 ``kind`` has one function for its JSON body and one for its text here, and
 the CLI calls the one for the format the user asked for.  Objects are read
 by their attributes, so this module imports only ``arith`` and any module
@@ -13,12 +14,14 @@ may import it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cache
+from itertools import accumulate, repeat
 from json import JSONEncoder
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable
 
-from .arith import format_decimal
+from .arith import exact_decimal_context, format_decimal
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -247,17 +250,45 @@ def _plan_doc(plan) -> dict:
     return doc
 
 
-def _row_doc(r) -> dict:
-    out: dict = {
-        "layer": r.layer,
-        "ramified_places": json_safe_int(r.ramified_places),
-        "layer_degree": json_safe_int(r.layer_degree),
-        "ambiguous_bound": json_safe_int(r.ambiguous_bound),
-        "class_rank_bound": json_safe_int(r.class_rank_bound),
-    }
-    if r.fine_claimed is not None:
-        out["fine_selmer_claimed"] = json_safe_int(r.fine_claimed)
-        out["fine_selmer_conservative"] = json_safe_int(r.fine_conservative or 0)
+# From this size on a cell costs less as one exact Decimal product by its
+# column's base plus one str, both linear in the digits, than as str on an
+# int, which is quadratic in CPython 3.11.
+_DECIMAL_CELL = 10**200
+
+_ROW_KEYS = ("layer", "ramified_places", "layer_degree", "ambiguous_bound",
+             "class_rank_bound", "fine_selmer_claimed", "fine_selmer_conservative")
+_ROW_HEADERS = ("layer", "ramified", "degree", "ambiguous", "class-rank",
+                "fine-claimed", "fine-conservative")
+
+
+def _cell_columns(cert, json_ints: bool) -> list[list]:
+    """A certificate's columns, the layers first, each cell a decimal string.
+
+    With ``json_ints`` cells below 2^53 stay ints.  Cell n of the column with
+    (c, b) in ``cert.columns`` is c * b^n, less 2 * dim in the conservative
+    fine column; from _DECIMAL_CELL on it is a running Decimal product by b.
+    A column equal to the one before it is rendered once.
+    """
+    fields = list(zip(*cert.rows))
+    out = [list(fields[0]) if json_ints else list(map(str, fields[0]))]
+    prev = None
+    for i, (cb, vals) in enumerate(zip(cert.columns, fields[1:])):
+        margin = 2 * cert.av.dimension if i == 5 else 0  # the conservative column
+        if cb == prev and not margin:
+            out.append(out[-1])
+            continue
+        prev = cb
+        k = bisect_left(vals, _DECIMAL_CELL)
+        a = bisect_left(vals, _JSON_INT_LIMIT, hi=k) if json_ints else 0
+        cells = [*vals[:a], *map(str, vals[a:k])]
+        if k < len(vals):  # from layer k on, c * b^n - margin is past 0
+            ctx = exact_decimal_context()
+            run = accumulate(repeat(ctx.create_decimal(cb[1]), len(vals) - k - 1),
+                             ctx.multiply, initial=ctx.create_decimal(vals[k] + margin))
+            if margin:
+                run = map(ctx.subtract, run, repeat(ctx.create_decimal(margin)))
+            cells += map(str, run)
+        out.append(cells)
     return out
 
 
@@ -267,7 +298,7 @@ def certificate_doc(cert) -> dict:
         "n_max": cert.n_max,
         "gap_rank": cert.gap_rank,
         "abelian_variety": cert.av._asdict() if cert.av else None,
-        "rows": [_row_doc(r) for r in cert.rows],
+        "rows": [dict(zip(_ROW_KEYS, cells)) for cells in zip(*_cell_columns(cert, True))],
         "trace": _records(cert.trace),
         "diagnostics": _records(cert.diagnostics),
     }
@@ -275,23 +306,10 @@ def certificate_doc(cert) -> dict:
 
 def certificate_lines(cert) -> list[str]:
     """A certificate's text; callers reach it as ``BoundCertificate.to_text_lines``."""
-    fine = cert.av is not None
-    headers = ["layer", "ramified", "degree", "ambiguous", "class-rank"]
-    if fine:
-        headers += ["fine-claimed", "fine-conservative"]
-    table = [headers]
-    for r in cert.rows:
-        cells = [r.layer, r.ramified_places, r.layer_degree, r.ambiguous_bound,
-                 r.class_rank_bound]
-        if fine:
-            cells += [r.fine_claimed, r.fine_conservative]
-        table.append([format_decimal(c) for c in cells])
-    widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
-    lines = []
-    for idx, row in enumerate(table):
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-        if idx == 0:
-            lines.append("  ".join("-" * w for w in widths))
+    cols = _cell_columns(cert, False)
+    widths = [max(len(head), *map(len, col)) for head, col in zip(_ROW_HEADERS, cols)]
+    rows = [_ROW_HEADERS, ["-" * w for w in widths], *zip(*cols)]
+    lines = ["  ".join(map(str.rjust, row, widths)) for row in rows]
     lines.append("")
     lines.append("inequality trace:")
     for t in cert.trace:

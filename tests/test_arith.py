@@ -1,7 +1,10 @@
+import inspect
 import itertools
 import math
 import random
+import subprocess
 import sys
+import time
 
 import pytest
 
@@ -43,6 +46,55 @@ def test_is_prime_carmichael_and_strong_pseudoprimes():
         assert not arith.is_prime(n)
     assert arith.is_prime(2**61 - 1)  # Mersenne prime
     assert not arith.is_prime(2**67 - 1)  # 193707721 * 761838257287
+
+
+def _sprp(n, a):
+    """One strong-probable-prime round, written out anew for the oracle."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    x = pow(a, (n - 1) >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _twelve_base_battery(n):
+    """The first twelve primes as bases, for odd n > 37: a proof below 2^64."""
+    return all(_sprp(n, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+
+
+# Only values with no prime factor up to 97 get past trial division to the
+# witnesses, so the oracles below compare is_prime on those.
+_PRIMORIAL_97 = math.prod(q for q in range(2, 98) if _trial_division_prime(q))
+
+
+def test_is_prime_matches_a_sieve_below_two_million():
+    limit = 2 * 10**6
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for q in range(2, math.isqrt(limit - 1) + 1):
+        if flags[q]:
+            flags[q * q :: q] = bytes(len(range(q * q, limit, q)))
+    rough = [n for n in range(99, limit, 2) if math.gcd(n, _PRIMORIAL_97) == 1]
+    assert len(rough) > 200_000
+    assert [arith.is_prime(n) for n in rough] == [flags[n] == 1 for n in rough]
+
+
+def test_is_prime_matches_the_twelve_base_battery_below_2_64():
+    # Below 2^64 is_prime runs Jim Sinclair's seven bases.  The fixed values
+    # are strong pseudoprimes to the first 4, 5, 7 and 9 prime bases, the
+    # largest prime below 2^64 and 2^64 - 1.
+    rng = random.Random(2**64 - 59)
+    values = [rng.randrange(3, 2**64, 2) for _ in range(50_000)]
+    values += [3215031751, 2152302898747, 341550071728321, 3825123056546413051]
+    values += [2**64 - 59, 2**64 - 1]
+    rough = [n for n in values if math.gcd(n, _PRIMORIAL_97) == 1]
+    assert len(rough) > 10_000
+    assert [arith.is_prime(n) for n in rough] == [_twelve_base_battery(n) for n in rough]
+    assert arith.is_prime(2**64 - 59) and not arith.is_prime(3825123056546413051)
 
 
 def test_is_prime_large_reproducible():
@@ -216,3 +268,67 @@ def test_format_decimal_beyond_int_str_limit():
     assert arith.format_decimal(10**4300 - 1) == "9" * 4300
     assert arith.format_decimal(-(10**5000)) == "-1" + "0" * 5000
     assert limit_of() == limit
+
+
+def _str_in_a_subprocess(func, seed):
+    """str of each of ``func(seed)``, from a fresh interpreter whose int -> str
+    limit is lifted."""
+    code = "\n".join([
+        "import random, sys",
+        "getattr(sys, 'set_int_max_str_digits', lambda n: None)(0)",
+        inspect.getsource(func),
+        f"print(*map(str, {func.__name__}({seed})))",
+    ])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=600, check=True).stdout.split()
+
+
+def _seeded_values(seed):
+    """Random values of 1 to 10^5 digits, either sign, and edge cases."""
+    rng = random.Random(seed)
+    values = [rng.randrange(10 ** int(10 ** rng.uniform(0, 5))) * rng.choice((-1, 1))
+              for _ in range(40)]
+    for w in (2048, 30_000, 30_001, 65_536):  # the leaf and the crossover in bits
+        values += [2**w - 1, 2**w, -(2**w + 1)]
+    values += [10**k + d for k in (9_031, 9_032, 50_000) for d in (-1, 0, 1)]
+    return values
+
+
+def test_format_decimal_matches_str_on_random_values():
+    # the interpreter-wide limit is lifted in the oracle's process only
+    limit_of = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    limit = limit_of()
+    got = [arith.format_decimal(n) for n in _seeded_values(20260)]
+    assert got == _str_in_a_subprocess(_seeded_values, 20260)
+    assert limit_of() == limit
+
+
+def _from_digits(text):
+    """int(text) by halves, recombined by exact products (no str -> int)."""
+    if len(text) <= 1000:
+        return int(text)
+    half = len(text) // 2
+    return _from_digits(text[:half]) * 10 ** (len(text) - half) + _from_digits(text[half:])
+
+
+def test_format_decimal_round_trips_a_million_digits():
+    # str itself takes about 17 s on 10^6 digits in CPython 3.11, so the
+    # oracle at this size is the digit string the value was built from.
+    rng = random.Random(10**6)
+    text = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=10**6 - 1))
+    n = _from_digits(text)
+    assert arith.format_decimal(n) == text
+
+
+def test_format_decimal_doubles_in_well_under_four_times():
+    # Quadratic conversion (str, or a divmod split) costs 4x per doubling.
+    rng = random.Random(4)
+    small = rng.randrange(10**199_999, 10**200_000)
+    large = rng.randrange(10**399_999, 10**400_000)
+    best = {small: math.inf, large: math.inf}
+    for _ in range(3):
+        for n in best:
+            start = time.perf_counter()
+            arith.format_decimal(n)
+            best[n] = min(best[n], time.perf_counter() - start)
+    assert best[large] / best[small] < 3.0, best

@@ -4,10 +4,14 @@ import random
 import shlex
 import time
 
+import pytest
+
 from test_golden import GOLDEN
 from test_golden import SIX_FACTORS as QUOTED_SIX_FACTORS
 from towerbound import cyclotomic, report
-from towerbound.fixtures import get_fixture
+from towerbound.bounds import build_certificate
+from towerbound.fixtures import BUNDLED_AV, build_plan, get_fixture
+from towerbound.tower import FAMILY_ABELIAN, CyclotomicBase, GroupSpec, build_tower_plan
 
 SIX_FACTORS = get_fixture("example3").factor_strings
 
@@ -394,6 +398,60 @@ def test_certificate_cells_beyond_int_str_limit(run_cli):
     assert last["class_rank_bound"] == _chunked_decimal(p**90)
 
 
+_ROW_KEYS = ("layer", "ramified_places", "layer_degree", "ambiguous_bound",
+             "class_rank_bound", "fine_selmer_claimed", "fine_selmer_conservative")
+
+
+def _check_certificate_cells(run_cli, args, cert):
+    """Each cell that ``args`` prints, as text and as JSON, against the row ints."""
+    rows = [[v for v in r if v is not None] for r in cert.rows]
+    code, out, err = run_cli(*args)
+    assert code == 0, err
+    lines = out.splitlines()
+    top = next(i for i, ln in enumerate(lines) if ln.split()[:2] == ["layer", "ramified"])
+    assert lines[top + 2 + len(rows)] == ""
+    table = [ln.split() for ln in lines[top + 2 : top + 2 + len(rows)]]
+    assert table == [[_chunked_decimal(v) for v in r] for r in rows]
+    code, out, err = run_cli(*args, "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    got = doc.get("certificate", doc)["rows"]
+    want = [dict(zip(_ROW_KEYS, r)) for r in rows]
+    # JSON keeps cells below 2^53 as numbers and writes the rest as strings
+    assert got == [{k: v if v < 2**53 else _chunked_decimal(v) for k, v in r.items()}
+                   for r in want]
+
+
+def _first_decimal_layer(cert):
+    """The first layer with a cell that report renders from a Decimal."""
+    return next((r.layer for r in cert.rows
+                 if max(v for v in r if v is not None) >= report._DECIMAL_CELL), None)
+
+
+@pytest.mark.parametrize("fid", ["example1", "example2", "example3"])
+def test_certificate_cells_match_the_row_ints_around_the_decimal_crossover(run_cli, fid):
+    fx = get_fixture(fid)
+    plan = build_plan(fid)
+    cross = _first_decimal_layer(build_certificate(plan, fx.av, 1000))
+    assert 200 < cross < 500  # cells reach 10^200 at layer 233 (example3) to 417
+    for n_max in (0, 1, 4, cross - 1, cross, cross + 1, 1000):
+        cert = build_certificate(plan, fx.av, n_max)
+        _check_certificate_cells(run_cli, ["certificate", fid, "--n-max", str(n_max)], cert)
+
+
+def test_certificate_cells_match_the_row_ints_past_the_int_str_limit(run_cli):
+    # p = 10^50 + 151: layer 90 holds ~4500 digits; the fine columns run on
+    # q = 5 and the conservative one is floored at 0 on layer 0.
+    p, av = 10**50 + 151, BUNDLED_AV["11a1"]
+    plan = build_tower_plan(5, GroupSpec(p, 1, 2, FAMILY_ABELIAN), CyclotomicBase(3), 1,
+                            gap_rank=0)
+    cert = build_certificate(plan, av, 90)
+    assert _first_decimal_layer(cert) == 4 and cert.rows[0].fine_conservative == 0
+    args = ["construct", "--ell", "5", "--p", str(p), "--conductor", "3",
+            "--rank-target", "1", "--n-max", "90", "--av", "11a1"]
+    _check_certificate_cells(run_cli, args, cert)
+
+
 def test_verify_factorization_coefficient_too_long_to_read(run_cli):
     code, out, err = run_cli(
         "verify-factorization", "--conductor", "7", "--target", "1",
@@ -435,8 +493,8 @@ def test_stable_json_matches_json_dumps_on_every_golden_document(run_cli, monkey
     monkeypatch.setattr(report, "stable_json", recording)
     for argv, *_ in GOLDEN:
         run_cli(*shlex.split(argv.format(six=QUOTED_SIX_FACTORS)))
-    # 18 of the 21 --json argv emit a document; the other three fail first
-    assert len(docs) == 18
+    # 20 of the 23 --json argv emit a document; the other three fail first
+    assert len(docs) == 20
     assert {doc["kind"] for doc in docs} == set(report._KINDS)
     for doc in docs:
         assert writer(doc) == _reference_json(doc)

@@ -125,6 +125,27 @@ GOLDEN = [
         "8cd217de8f5e5e8c4baccbf63b96adbea000e67daff0b4e9f76ff60bc7c56308",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
+    # Captured before certificate cells were rendered from running decimal
+    # powers: example3's cells reach 847 digits, and example2's two class
+    # columns are 0 at every layer (JSON ints, never strings).
+    (
+        'certificate example3 --n-max 1000',
+        0,
+        "bcde263a733c4b88f9229f6bde55c01581edfa4f0eaa1ede8546efeaf9aac82a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        'certificate example3 --n-max 1000 --json',
+        0,
+        "deabce0e29d4dab5b5c6651f9f73ccc66fb5f10901fd16f38637b08472222924",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        'certificate example2 --n-max 1000 --json',
+        0,
+        "e3a8fa70433c3ddf68d26cb79167947e7648ce546a894b11030d0ebd82178f30",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
     (
         'construct --ell 5 --p 3 --rank-target 2 --dimension 1 --conductor 3',
         0,

@@ -126,11 +126,12 @@ def test_the_tracers_hooks_resolve_in_the_package():
 
 def test_the_cli_starts_without_dataclasses_or_inspect():
     # Importing them cost about two thirds of the CLI's start-up (`setup_s`):
-    # inspect pulls in ast, dis and tokenize.  A fresh interpreter shows what
-    # importing the CLI alone loads.
+    # inspect pulls in ast, dis and tokenize.  decimal (about 1.8 ms) is
+    # imported only when a value is large enough to need it.  A fresh
+    # interpreter shows what importing the CLI alone loads.
     env = {**os.environ, "PYTHONPATH": str(PKG.parent)}
     code = ("import sys, towerbound.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'decimal', 'inspect'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out == "[]\n"
