@@ -65,17 +65,24 @@ class TraceStep(NamedTuple):
 
 
 class BoundCertificate(NamedTuple):
-    """Per-layer certified bounds with their inequality trace and caveats."""
+    """Per-layer certified bounds as one column table, with trace and caveats.
+
+    Column (c, b, margin) has the cell max(c * b^n - margin, 0) at layer n, in
+    ``CertificateRow`` order; ``rows`` derives the cells as ints.
+    """
 
     av: AbelianVarietyDesc | None
     gap_rank: int | None
     n_max: int
-    rows: tuple[CertificateRow, ...]
     trace: tuple[TraceStep, ...]
     diagnostics: tuple[Diagnostic, ...]
-    # the (c, b) of each column after the layer: its cell at layer n is c * b^n,
-    # less 2 * av.dimension (floored at 0) in the conservative fine column
-    columns: tuple[tuple[int, int], ...]
+    columns: tuple[tuple[int, int, int], ...]
+
+    @property
+    def rows(self) -> tuple[CertificateRow, ...]:
+        """The cells of layers 0..n_max as ints, one row per layer."""
+        return tuple(CertificateRow(n, *(max(c * b**n - m, 0) for c, b, m in self.columns))
+                     for n in range(self.n_max + 1))
 
     # Rendering lives in report; the two names stay for callers that know
     # them, bench/tracing.py's bounds.render span among them.
@@ -83,24 +90,23 @@ class BoundCertificate(NamedTuple):
     to_text_lines = report.certificate_lines
 
 
-#: The most decimal digits :func:`build_certificate` puts in its rows, as
-#: :func:`_row_digits` estimates them before building any.  At the budget (a
-#: 100-digit p, n_max = 158) building and rendering take about 0.06 s in
-#: CPython 3.11 on a 2-core host, 1.1 s when each cell went through int ->
-#: str.  The largest bundled certificate, example3 at n_max = 1000, holds
-#: about 2.2 M.
+#: The most decimal digits a certificate's cells may hold, as
+#: :func:`_row_digits` estimates them from the column table.  At the budget (a
+#: 100-digit p, n_max = 158) building and rendering take about 0.02 s as text
+#: and 0.045 s as canonical JSON in CPython 3.11 on a 2-core host.  The
+#: largest bundled certificate, example3 at n_max = 1000, holds about 2.2 M.
 CERTIFICATE_DIGIT_BUDGET = 5_000_000
 
 
-def _row_digits(n_max: int, columns: list[tuple[int, int]]) -> int:
-    """Digits, at most, in the cells c * b^n, n = 0..n_max, of the (c, b) columns.
+def _row_digits(n_max: int, columns: list[tuple[int, int, int]]) -> int:
+    """Digits, at most, in the cells c * b^n, n = 0..n_max, of the (c, b, margin) columns.
 
     As c < 2^bits(c) and b <= 2^bits(b - 1), a cell has at most
-    (bits(c) + n * bits(b - 1)) * log10(2) + 1 digits.
+    (bits(c) + n * bits(b - 1)) * log10(2) + 1 digits; a margin only lowers it.
     """
     bits = sum(
         (n_max + 1) * c.bit_length() + n_max * (n_max + 1) // 2 * (b - 1).bit_length()
-        for c, b in columns
+        for c, b, _ in columns
         if c
     )
     return bits * 30103 // 100_000 + (n_max + 1) * len(columns)
@@ -118,7 +124,8 @@ def build_certificate(
     (:class:`PlanNotInflated` otherwise), which the certificate states, and
     the variety a rational torsion point of order ell
     (:class:`TorsionHypothesisUnmet` otherwise).  Rows whose digits would
-    exceed ``CERTIFICATE_DIGIT_BUDGET`` raise ValueError before any is built.
+    exceed ``CERTIFICATE_DIGIT_BUDGET`` raise ValueError.  Layers below the
+    plan's first effective layer carry a ``PRE-EFFECTIVE-LAYER`` caveat.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -148,11 +155,10 @@ def build_certificate(
         ),
     ]
     diagnostics: list[Diagnostic] = list(plan.diagnostics)
-
-    # The one definition of the rows: each column's cell at layer n is c * b^n,
-    # for its (c, b): ramified, degree, ambiguous and class rank, then the two
-    # fine-Selmer columns, of which the conservative one subtracts 2 * dim.
-    columns = [(c, plan.p) for c in (plan.ramified_target, d0, net, net)]
+    if k := plan.first_effective_layer:  # the degree bookkeeping holds from layer k on
+        diagnostics.append(catalog.make("PRE-EFFECTIVE-LAYER", f"layers 0..{k - 1} precede "
+                                        f"the first effective layer {k}; they are not certified"))
+    columns = [(c, plan.p, 0) for c in (plan.ramified_target, d0, net, net)]
     gap_rank: int | None = None
     if av is not None:
         gap_rank = plan.gap_rank
@@ -165,7 +171,8 @@ def build_certificate(
                 f"{av.label} has no rational torsion point of order {plan.ell}"
             )
         n_fine, q = plan.rank_target, min(plan.ell, plan.p)
-        columns += [(n_fine, q), (n_fine, q)]
+        margin = 2 * av.dimension  # the conservative column's, for the variant gap
+        columns += [(n_fine, q, 0), (n_fine, q, margin)]
         trace += [
             TraceStep(
                 "variant-gap",
@@ -179,7 +186,7 @@ def build_certificate(
             ),
             TraceStep(
                 "conservative-margin",
-                f"conservative column subtracts 2 * dim = {2 * av.dimension} "
+                f"conservative column subtracts 2 * dim = {margin} "
                 f"for the class-group comparison",
             ),
         ]
@@ -224,21 +231,10 @@ def build_certificate(
         raise ValueError(f"the rows up to layer {n_max} would hold about {digits} "
                          f"digits, above the budget of {CERTIFICATE_DIGIT_BUDGET}")
 
-    rows: list[CertificateRow] = []
-    powers = {b: 1 for _, b in columns}  # b^n, one running power per base
-    for n in range(n_max + 1):
-        cells = [c * powers[b] for c, b in columns]
-        if av is not None:
-            cells[-1] = max(cells[-1] - 2 * av.dimension, 0)
-        rows.append(CertificateRow(n, *cells))
-        for b in powers:
-            powers[b] *= b
-
     return BoundCertificate(
         av=av,
         gap_rank=gap_rank,
         n_max=n_max,
-        rows=tuple(rows),
         trace=tuple(trace),
         diagnostics=tuple(diagnostics),
         columns=tuple(columns),

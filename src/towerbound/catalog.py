@@ -72,6 +72,10 @@ KNOWN_CODES: dict[str, tuple[str, str]] = {
         "plan was built without inflating the place count for the gap term "
         "(s0 = 0), so claimed fine-Selmer rows rely on the gap vanishing",
     ),
+    "PRE-EFFECTIVE-LAYER": (
+        "warning",
+        "the rows below the plan's first effective layer are tabulated, not certified",
+    ),
     "PROBABLE-PRIME": (
         "warning",
         "a prime the tool names, at or above 2^64, passed a strong-probable-prime "

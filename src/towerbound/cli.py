@@ -9,8 +9,8 @@ exception through ``_EXIT_CODES`` to one ``<command>: <reason>`` line on
 stderr: ValidationFailed (then its failed items), SearchExhausted and
 EqualPrimes exit 1; ValueError (parse errors included) and OSError (say, an
 unwritable --out) exit 2.  The parser exits 2 on out-of-range numbers:
---n-max must lie in [0, 1000], a cap on the certificate's rows, whose digits
-bounds.CERTIFICATE_DIGIT_BUDGET also caps (exit 2); conductors must lie in
+--n-max must lie in [0, 1000], a cap on the certificate's layers, whose cells'
+digits bounds.CERTIFICATE_DIGIT_BUDGET also caps (exit 2); conductors must lie in
 [1, MAX_CONDUCTOR]; --ell, --p and split's prime may have at most 100
 digits; --count must be >= 0; and inert-primes --ceiling must lie in [0,
 arith.DEFAULT_SEARCH_CEILING] (10^7), which bounds the scan.  No argv ends in
@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     layered = argparse.ArgumentParser(add_help=False)
     layered.add_argument(
         "--n-max",
-        type=_int_in(0, 1000),  # a cap: certificate rows are built eagerly
+        type=_int_in(0, 1000),  # a cap: every certificate cell is rendered eagerly
         default=4,
         help="deepest tower layer to tabulate (default 4)",
     )

@@ -5,7 +5,7 @@ term renderer writes integer polynomials (``x^3 - x^2 - 4*x - 1``) and
 zeta-notation (``2ζ₇³ + 1``, or ``2zeta7^3 + 1`` in ASCII), every integer
 through ``arith.format_decimal``; small label functions name the group, the
 base field, its fixed subfield and a prime's splitting type.  Certificate
-cells are read off the certificate's column table.  Each document
+cells are rendered from the (c, b, margin) column table alone.  Each document
 ``kind`` has one function for its JSON body and one for its text here, and
 the CLI calls the one for the format the user asked for.  Objects are read
 by their attributes, so this module imports only ``arith`` and any module
@@ -14,11 +14,11 @@ may import it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cache
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, takewhile
 from json import JSONEncoder
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import mul
 from typing import Any, Callable
 
 from .arith import exact_decimal_context, format_decimal
@@ -265,31 +265,28 @@ def _cell_columns(cert, json_ints: bool) -> list[list]:
     """A certificate's columns, the layers first, each cell a decimal string.
 
     With ``json_ints`` cells below 2^53 stay ints.  Cell n of the column with
-    (c, b) in ``cert.columns`` is c * b^n, less 2 * dim in the conservative
-    fine column; from _DECIMAL_CELL on it is a running Decimal product by b.
-    A column equal to the one before it is rendered once.
+    (c, b, margin) in ``cert.columns`` is max(c * b^n - margin, 0): a running
+    int product by b below _DECIMAL_CELL, a running exact Decimal one from
+    there on.  Equal columns are rendered once.
     """
-    fields = list(zip(*cert.rows))
-    out = [list(fields[0]) if json_ints else list(map(str, fields[0]))]
-    prev = None
-    for i, (cb, vals) in enumerate(zip(cert.columns, fields[1:])):
-        margin = 2 * cert.av.dimension if i == 5 else 0  # the conservative column
-        if cb == prev and not margin:
-            out.append(out[-1])
-            continue
-        prev = cb
-        k = bisect_left(vals, _DECIMAL_CELL)
-        a = bisect_left(vals, _JSON_INT_LIMIT, hi=k) if json_ints else 0
-        cells = [*vals[:a], *map(str, vals[a:k])]
-        if k < len(vals):  # from layer k on, c * b^n - margin is past 0
+    n_max = cert.n_max
+    out = [list(range(n_max + 1)) if json_ints else list(map(str, range(n_max + 1)))]
+    rendered = {}
+    for c, b, margin in dict.fromkeys(cert.columns):
+        vals = list(takewhile((_DECIMAL_CELL + margin).__gt__,
+                              accumulate(repeat(b, n_max), mul, initial=c)))
+        ints = [max(v - margin, 0) for v in vals] if margin else vals
+        a = sum(map(_JSON_INT_LIMIT.__gt__, ints)) if json_ints else 0
+        cells = [*ints[:a], *map(str, ints[a:])]
+        if len(vals) <= n_max:  # from here on c * b^n - margin is past 0
             ctx = exact_decimal_context()
-            run = accumulate(repeat(ctx.create_decimal(cb[1]), len(vals) - k - 1),
-                             ctx.multiply, initial=ctx.create_decimal(vals[k] + margin))
+            run = accumulate(repeat(ctx.create_decimal(b), n_max - len(vals)), ctx.multiply,
+                             initial=ctx.create_decimal(vals[-1] * b if vals else c))
             if margin:
                 run = map(ctx.subtract, run, repeat(ctx.create_decimal(margin)))
             cells += map(str, run)
-        out.append(cells)
-    return out
+        rendered[c, b, margin] = cells
+    return out + [rendered[col] for col in cert.columns]
 
 
 def certificate_doc(cert) -> dict:

@@ -379,7 +379,7 @@ def _norm_note(norms: list[int], target: int) -> str:
 
 
 def _check_certificate(plan: TowerPlan, cert: BoundCertificate) -> CheckResult:
-    certified = cert.rows[0].class_rank_bound  # each layer's is this times p^n
+    certified = cert.columns[3][0]  # the class-rank column's c: layer n's is c * p^n
     target = plan.effective_rank_target
     if certified >= target:
         return CheckResult(

@@ -133,8 +133,9 @@ def test_row_digit_estimate_bounds_the_digits_built(fid, p, n_max):
         if v is not None
     )
     top = cert.rows[0]  # each column's cells are its layer-0 cell times b^n
-    columns = [(c, plan.p) for c in (top.ramified_places, top.layer_degree,
-                                     top.ambiguous_bound, top.class_rank_bound)]
+    columns = [(c, plan.p, 0) for c in (top.ramified_places, top.layer_degree,
+                                        top.ambiguous_bound, top.class_rank_bound)]
     if av is not None:
-        columns += [(top.fine_claimed, min(plan.ell, plan.p))] * 2
+        q = min(plan.ell, plan.p)
+        columns += [(top.fine_claimed, q, 0), (top.fine_claimed, q, 2 * av.dimension)]
     assert built <= _row_digits(n_max, columns) <= 1.3 * built

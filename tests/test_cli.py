@@ -9,7 +9,7 @@ import pytest
 from test_golden import GOLDEN
 from test_golden import SIX_FACTORS as QUOTED_SIX_FACTORS
 from towerbound import cyclotomic, report
-from towerbound.bounds import build_certificate
+from towerbound.bounds import BoundCertificate, build_certificate
 from towerbound.fixtures import BUNDLED_AV, build_plan, get_fixture
 from towerbound.tower import FAMILY_ABELIAN, CyclotomicBase, GroupSpec, build_tower_plan
 
@@ -450,6 +450,23 @@ def test_certificate_cells_match_the_row_ints_past_the_int_str_limit(run_cli):
     args = ["construct", "--ell", "5", "--p", str(p), "--conductor", "3",
             "--rank-target", "1", "--n-max", "90", "--av", "11a1"]
     _check_certificate_cells(run_cli, args, cert)
+
+
+def test_no_renderer_reads_the_row_ints(run_cli, monkeypatch):
+    # Cells are rendered from the column table alone; rows is a derived view.
+    argvs = [(*argv, *fmt)
+             for argv in [("certificate", fid, "--n-max", "1000")
+                          for fid in ("example1", "example2", "example3")]
+             + [("reproduce", "all")]
+             for fmt in ((), ("--json",))]
+    want = [run_cli(*argv) for argv in argvs]
+    assert all(code == 0 for code, _, _ in want)
+
+    def no_rows(cert):
+        raise AssertionError("a renderer read BoundCertificate.rows")
+
+    monkeypatch.setattr(BoundCertificate, "rows", property(no_rows))
+    assert [run_cli(*argv) for argv in argvs] == want
 
 
 def test_verify_factorization_coefficient_too_long_to_read(run_cli):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from towerbound import arith, cyclotomic, report
+from towerbound.bounds import build_certificate
 from towerbound.fixtures import bundled_cubic_base
 from towerbound.tower import (
     CyclotomicBase,
@@ -175,16 +176,27 @@ def test_first_effective_layer_above_0_over_the_bundled_cubic(run_cli):
     # Layer n of the cubic base has degree phi(7) * 7^n = 6 * 7^n, and the
     # bookkeeping starts at the least n where that reaches 2 * dimension:
     # n rises past each dimension 3 * 7^n.
-    code, out, err = run_cli("construct", "--base", "bundled-cubic", "--ell", "3",
-                             "--p", "7", "--dimension", "4", "--rank-target", "2",
-                             "--json")
+    # Rows below that layer carry the PRE-EFFECTIVE-LAYER caveat.
+    argv = ("construct", "--base", "bundled-cubic", "--ell", "3", "--p", "7",
+            "--dimension", "4", "--rank-target", "2")
+    code, out, err = run_cli(*argv, "--json")
     assert (code, err) == (0, "")
-    assert json.loads(out)["plan"]["first_effective_layer"] == 1
+    doc = json.loads(out)
+    assert doc["plan"]["first_effective_layer"] == 1
+    caveat = [d for d in doc["certificate"]["diagnostics"]
+              if d["code"] == "PRE-EFFECTIVE-LAYER"]
+    assert [d["severity"] for d in caveat] == ["warning"]
+    assert "layers 0..0 " in caveat[0]["message"]
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    assert f"  [warning:PRE-EFFECTIVE-LAYER] {caveat[0]['message']}" in out.splitlines()
     for dim, layer in ((3, 0), (4, 1), (21, 1), (22, 2), (147, 2), (148, 3)):
         group = GroupSpec(p=7, dimension=dim, action_order=3)
         plan = build_tower_plan(3, group, bundled_cubic_base(7), 2)
         assert plan.first_effective_layer == layer, dim
         assert min(n for n in range(8) if 6 * 7**n >= 2 * dim) == layer, dim
+        codes = [d.code for d in build_certificate(plan, n_max=0).diagnostics]
+        assert codes.count("PRE-EFFECTIVE-LAYER") == (layer > 0), dim
 
 
 def test_build_plan_rejects_equal_primes():
