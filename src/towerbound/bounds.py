@@ -92,8 +92,8 @@ class BoundCertificate(NamedTuple):
 
 #: The most decimal digits a certificate's cells may hold, as
 #: :func:`_row_digits` estimates them from the column table.  At the budget (a
-#: 100-digit p, n_max = 158) building and rendering take about 0.02 s as text
-#: and 0.045 s as canonical JSON in CPython 3.11 on a 2-core host.  The
+#: 100-digit p, n_max = 158) building and rendering take about 0.03 s, as text
+#: or as canonical JSON, in CPython 3.11 on a 2-core host.  The
 #: largest bundled certificate, example3 at n_max = 1000, holds about 2.2 M.
 CERTIFICATE_DIGIT_BUDGET = 5_000_000
 

@@ -5,20 +5,22 @@ term renderer writes integer polynomials (``x^3 - x^2 - 4*x - 1``) and
 zeta-notation (``2ζ₇³ + 1``, or ``2zeta7^3 + 1`` in ASCII), every integer
 through ``arith.format_decimal``; small label functions name the group, the
 base field, its fixed subfield and a prime's splitting type.  Certificate
-cells are rendered from the (c, b, margin) column table alone.  Each document
-``kind`` has one function for its JSON body and one for its text here, and
-the CLI calls the one for the format the user asked for.  Objects are read
-by their attributes, so this module imports only ``arith`` and any module
-may import it.
+cells are rendered from the (c, b, margin) column table alone.  Canonical JSON
+writes each list of two or more flat records (plain-ASCII dicts with the same
+keys and int or str values) in one ``%`` pass.  Each document ``kind`` has
+one function for its JSON body and one for its text here, and the CLI calls
+the one for the format the user asked for.  Objects are read by their
+attributes, so this module imports only ``arith`` and any module may import
+it.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import accumulate, repeat, takewhile
+from itertools import accumulate, chain, compress, repeat, takewhile
 from json import JSONEncoder
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from operator import mul
+from operator import add, is_, mul
 from typing import Any, Callable
 
 from .arith import exact_decimal_context, format_decimal
@@ -121,15 +123,21 @@ def stable_json(doc: Any) -> str:
 
     For str-keyed documents the bytes are those of ``json.dumps(doc,
     sort_keys=True, indent=2, ensure_ascii=True)``, and byte-identical output
-    for equal documents is part of the CLI contract.  ``json.dumps`` runs its pure-Python encoder
-    whenever it indents, so containers are laid out here and every container
-    of scalars goes to the C encoder whole.
+    for equal documents is part of the CLI contract.  ``json.dumps`` runs its
+    pure-Python encoder whenever it indents, so containers are laid out here.
+    Each container of scalars goes to the C encoder whole.  Each list of two
+    or more flat records, dicts with the same str keys and exact int or str
+    values whose keys and strings are printable ASCII with no ``"`` or ``\\``,
+    is one ``%`` pass over a template per tuple of value types.  Everything
+    else is written item by item.
     """
     return _indented(doc, "\n") + "\n"
 
 
 # Items of exactly these types make a container the C encoder writes whole.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
+# Printable ASCII but " and \: text of only these bytes needs no escapes.
+_PLAIN = bytes(range(32, 127)).translate(None, b'"\\')
 
 
 @cache
@@ -146,14 +154,38 @@ def _indented(o: Any, pad: str) -> str:
     items = o.values() if is_dict else o if isinstance(o, (list, tuple)) else ()
     if _SCALARS.issuperset(map(type, items)):
         text = "".join(_flat_encoder(inner)(o, 0))
-        return text[0] + inner + text[1:-1] + pad + text[-1] if items else text
+        return f"{text[0]}{inner}{text[1:-1]}{pad}{text[-1]}" if items else text
     if is_dict:
-        parts = (encode_basestring_ascii(k) + ": " + _indented(v, inner)
-                 for k, v in sorted(o.items()))
-    else:
-        parts = (_indented(v, inner) for v in o)
-    brackets = "{}" if is_dict else "[]"
-    return brackets[0] + inner + ("," + inner).join(parts) + pad + brackets[1]
+        body = f",{inner}".join([f"{encode_basestring_ascii(k)}: {_indented(v, inner)}"
+                                 for k, v in sorted(o.items())])
+        return f"{{{inner}{body}{pad}}}"
+    records = _record_list(o, pad) if len(o) > 1 else None
+    return records or f"[{inner}{f',{inner}'.join([_indented(v, inner) for v in o])}{pad}]"
+
+
+def _record_list(o, pad: str) -> str | None:
+    """A list of flat records (see :func:`stable_json`) in one ``%`` pass, or None."""
+    first = o[0]
+    keys = sorted(first) if type(first) is dict else ()
+    if not (keys and {str}.issuperset(map(type, keys)) and {dict}.issuperset(map(type, o))
+            and {len(keys)} == set(map(len, o))):
+        return None
+    # A key missing from a record reads None, which no flat record holds.
+    values = tuple(chain.from_iterable(zip(*[map(dict.get, o, repeat(k)) for k in keys])))
+    kinds = tuple(map(type, values))
+    if not {int, str}.issuperset(kinds):
+        return None
+    strs = [*keys, *compress(values, map(is_, kinds, repeat(str)))]
+    for i in range(0, len(strs), 256):  # in chunks, so as not to copy the whole block
+        text = "".join(strs[i:i + 256])
+        if not text.isascii() or text.encode().translate(None, _PLAIN):
+            return None
+    types = list(zip(*[iter(kinds)] * len(keys)))
+    inner, slot = pad + "  ", {int: "%d", str: '"%s"'}
+    heads = [f'{inner}  "{k.replace("%", "%%")}": ' for k in keys]
+    templates = {sig: f"{{{','.join(map(add, heads, map(slot.get, sig)))}{inner}}}"
+                 for sig in set(types)}
+    return f"[{inner}{f',{inner}'.join(map(templates.__getitem__, types))}{pad}]" % values
 
 
 def wrap_document(kind: str, body: dict) -> dict:

@@ -517,6 +517,25 @@ def test_stable_json_matches_json_dumps_on_every_golden_document(run_cli, monkey
         assert writer(doc) == _reference_json(doc)
 
 
+@pytest.mark.parametrize("argv", [
+    # places with roots, and seven-key certificate rows
+    "construct --base bundled-cubic --ell 3 --p 7 --family nilpotent-class-2 --dimension 3"
+    " --twist-exponent 1 --rank-target 300 --av 19a1 --json",
+    # more than 900 one-key places
+    "construct --ell 5 --p 3 --dimension 1 --conductor 3 --rank-target 900 --json",
+    "certificate example1 --n-max 1000 --json",
+    # records nested in records, which are written item by item
+    "reproduce all --json",
+])
+def test_stable_json_matches_json_dumps_on_record_lists(run_cli, monkeypatch, argv):
+    docs = []
+    writer = report.stable_json
+    monkeypatch.setattr(report, "stable_json", lambda doc: docs.append(doc) or writer(doc))
+    code, out, _ = run_cli(*shlex.split(argv))
+    assert code == 0 and len(docs) == 1
+    assert out == writer(docs[0]) == _reference_json(docs[0])
+
+
 _TEXT = "az AZ_09\"\\/\x00\x01\x1f\x7f\n\t\u00e9\u03b6\u2028\U0001f600"
 
 

@@ -1,5 +1,7 @@
-"""The one term renderer in report, checked against the two renderers it replaced."""
+"""The one term renderer in report, checked against the two renderers it replaced, and
+the canonical JSON writer's record-list path, checked against ``json.dumps``."""
 
+import json
 import random
 
 from towerbound import report
@@ -107,3 +109,63 @@ def test_a_relative_base_with_a_coefficient_past_the_int_string_limit_renders():
     label = report.base_label(RelativeCubicBase(7, (10**5000, 0, 0, 1)))
     assert label == f"Q(zeta_7)(theta), theta^3 + 1{'0' * 5000} = 0"
     assert len(label) == 5033
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+# Keys and values a list of flat records may hold, and those that make it not one.
+_PLAIN_KEYS = ["a", "b", "layer", "q", "x y", "%", "50%", "%d", "%s", "{", "}", "{0}", "~"]
+_UNSAFE_KEYS = ['"', "\\", "a\"b", "\u00e9", "\x00", "\x1f", "\x7f", "\n"]
+_PLAIN_VALUES = [0, 1, -1, -42, 2**53 - 1, 2**53 + 1, -(2**53 - 1), -(2**53 + 1), 10**30,
+                 "", "0", "-7", "1" * 300, "a b", "%s", "%d", "%%", "{}", "~"]
+_UNSAFE_VALUES = ['"', "\\", "1\"2", "\u00e9", "\x00", "\x1f", "\x7f", "\n", "\U0001f600",
+                  True, False, None, 0.5, -0.0, _Int(7), _Str("x")]
+
+
+def _random_records(rng):
+    """A list of records with shuffled key orders, and whether they are flat.
+
+    They are flat unless one change breaks it: an unsafe or non-int/str value, an
+    unsafe key in every record, another key set in one record, or one record
+    emptied.
+    """
+    keys = rng.sample(_PLAIN_KEYS, rng.randrange(1, 5))
+    records = [{k: rng.choice(_PLAIN_VALUES) for k in rng.sample(keys, len(keys))}
+               for _ in range(rng.randrange(1, 6))]
+    change, victim = rng.randrange(6), rng.choice(records)
+    if change == 1:
+        victim[rng.choice(keys)] = rng.choice(_UNSAFE_VALUES)
+    elif change == 2:
+        key = rng.choice(_UNSAFE_KEYS)
+        for record in records:
+            record[key] = rng.choice(_PLAIN_VALUES)
+    elif change == 3:  # a key dropped, one added, or one swapped for another
+        how = rng.randrange(3)
+        if how != 1:
+            del victim[rng.choice(keys)]
+        if how != 0:
+            victim[rng.choice([k for k in _PLAIN_KEYS if k not in keys])] = 0
+    elif change == 4:
+        victim.clear()
+    flat = change in (0, 5)
+    return (tuple(records) if rng.random() < 0.3 else records), flat
+
+
+def test_record_lists_match_json_dumps():
+    rng = random.Random(20261019)
+    taken = refused = 0
+    for _ in range(1500):
+        records, flat = _random_records(rng)
+        for doc in (records, {"rows": records, "n": [records, 1]}):
+            expected = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+            assert report.stable_json(doc) == expected, doc
+        if len(records) > 1:  # one record takes the item-by-item path
+            assert (report._record_list(records, "\n") is not None) == flat, records
+            taken, refused = taken + flat, refused + (not flat)
+    assert taken > 300 and refused > 600  # both paths run often
