@@ -18,6 +18,8 @@ __all__ = [
     "NotCoprime",
     "SearchExhausted",
     "DEFAULT_SEARCH_CEILING",
+    "PROOF_BOUND",
+    "WIDE_WITNESS_COUNT",
     "exact_decimal_context",
     "format_decimal",
     "mul_many",
@@ -48,21 +50,19 @@ _SMALL_PRIMES = (
     71, 73, 79, 83, 89, 97,
 )
 
-# Jim Sinclair's bases make the strong-probable-prime test a proof for
-# n < 2**64, each reduced mod n and skipped when that leaves 0.
+# ``is_prime`` is a proof below PROOF_BOUND by Jim Sinclair's bases, each reduced
+# mod n and skipped when that leaves 0; at or above it, its verdict rests on
+# WIDE_WITNESS_COUNT strong-probable-prime rounds with random witnesses.
+PROOF_BOUND = 2**64
+WIDE_WITNESS_COUNT = 40
 _WITNESSES_BELOW_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-
-_WIDE_WITNESS_COUNT = 40
 
 
 # ``str`` refuses ints longer than sys.get_int_max_str_digits() digits (4300
-# by default, never below 640), so longer values are rendered in pieces.
-_SAFE_DIGITS = 512
-_SAFE_LIMIT = 10**_SAFE_DIGITS
-# From about 9000 digits on, converting through ``decimal`` (whose products
-# are number-theoretic transforms) beats the quadratic ``divmod`` split; its
-# leaves of at most _LEAF_BITS bits convert directly.
-_DECIMAL_BITS = 30_000
+# by default, never below 640), so longer values convert through ``decimal``,
+# whose products are number-theoretic transforms; its leaves of at most
+# _LEAF_BITS bits convert directly.
+_SAFE_LIMIT = 10**512
 _LEAF_BITS = 2048
 
 
@@ -95,21 +95,12 @@ def _to_decimal(n: int):
 def format_decimal(n: int) -> str:
     """Render ``n`` in plain decimal with no separators (JSON-safe for any size).
 
-    Values of more than a few hundred digits are split on a power of ten into
-    halves rendered the same way, or above _DECIMAL_BITS converted through
-    ``decimal``, so no interpreter-wide setting is touched.
+    Values past 512 digits convert through ``decimal`` instead of ``str``, so
+    no interpreter-wide setting is touched.
     """
     if n < 0:
         return "-" + format_decimal(-n)
-    if n < _SAFE_LIMIT:
-        return str(n)
-    if n.bit_length() > _DECIMAL_BITS:
-        return str(_to_decimal(n))
-    k = _SAFE_DIGITS
-    while 10 ** (2 * k) <= n:
-        k *= 2
-    hi, lo = divmod(n, 10**k)
-    return format_decimal(hi) + format_decimal(lo).zfill(k)
+    return str(n) if n < _SAFE_LIMIT else str(_to_decimal(n))
 
 
 def mul_many(factors: Iterable[int]) -> int:
@@ -148,12 +139,12 @@ def _strong_probable_prime(n: int, base: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality test, deterministic below 2**64.
+    """Primality test, deterministic below PROOF_BOUND = 2**64.
 
-    Below 2**64 a fixed 7-base strong-probable-prime battery is a proof.
-    At or above 2**64 the answer is a strong-probable-prime verdict using
-    40 witnesses drawn from a generator seeded by ``n`` itself, so repeated
-    calls are reproducible.
+    Below PROOF_BOUND a fixed 7-base strong-probable-prime battery is a proof.
+    At or above it the answer is a strong-probable-prime verdict using
+    WIDE_WITNESS_COUNT witnesses drawn from a generator seeded by ``n``
+    itself, so repeated calls are reproducible.
     """
     if n < 2:
         return False
@@ -162,11 +153,11 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n < 2**64:
+    if n < PROOF_BOUND:
         witnesses: Iterable[int] = filter(None, (a % n for a in _WITNESSES_BELOW_64))
     else:
         rng = random.Random(n ^ 0x5F3759DF)
-        witnesses = (rng.randrange(2, n - 1) for _ in range(_WIDE_WITNESS_COUNT))
+        witnesses = (rng.randrange(2, n - 1) for _ in range(WIDE_WITNESS_COUNT))
     return all(_strong_probable_prime(n, a) for a in witnesses)
 
 

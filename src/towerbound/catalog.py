@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arith import _WIDE_WITNESS_COUNT
+from .arith import PROOF_BOUND, WIDE_WITNESS_COUNT
 
 __all__ = ["Diagnostic", "KNOWN_CODES", "make", "probable_primes"]
 
@@ -101,7 +101,7 @@ def probable_primes(**named: int) -> tuple[Diagnostic, ...]:
     """PROBABLE-PRIME for each named prime at or above 2^64, in argument order."""
     return tuple(
         make("PROBABLE-PRIME", f"{name} = {x} is at least 2^64, so its primality rests "
-             f"on {_WIDE_WITNESS_COUNT} strong-probable-prime rounds with random "
+             f"on {WIDE_WITNESS_COUNT} strong-probable-prime rounds with random "
              f"witnesses, not on a proof")
-        for name, x in named.items() if x >= 2**64
+        for name, x in named.items() if x >= PROOF_BOUND
     )

@@ -14,7 +14,7 @@ import math
 import re
 import sys
 from functools import lru_cache
-from itertools import compress, islice, takewhile
+from itertools import islice
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -232,27 +232,19 @@ def _root_of_unity(m: int, q: int) -> int:
     raise ArithmeticError(f"no primitive {m}-th root of unity modulo {q}")
 
 
-# Word primes per conductor m, found downwards and kept: primes q = 1 (mod 2m) in
-# (2**62, 2**63), where arith.is_prime is a proof, with psi of order 2m mod q.
+# Word primes per conductor m, found downwards from 2**63 and kept: the primes q = 1
+# (mod 2m) above 2**62, where arith.is_prime is a proof, with psi of order 2m mod q.
 _WORD_PRIMES: dict[int, list[tuple[int, int]]] = {}
-_SIEVE_SPAN = 1 << 10  # candidates per sieved block, and the sieving primes' bound
 
 
 def _word_primes(m: int, count: int) -> list[tuple[int, int]]:
-    """The first ``count`` word primes of conductor m with their psi, sieved blockwise."""
+    """The first ``count`` word primes of conductor m with their psi, largest first."""
     found = _WORD_PRIMES.setdefault(m, [])
-    step = 2 * m
-    top = found[-1][0] - step if found else (2**63 - 2) // step * step + 1
-    while len(found) < count:
-        flags = bytearray([1]) * _SIEVE_SPAN
-        for r in takewhile(lambda r: r < _SIEVE_SPAN, arith.primes(3)):
-            if step % r:
-                i = top * pow(step, -1, r) % r  # r divides top - step * i
-                flags[i::r] = bytes(len(range(i, _SIEVE_SPAN, r)))
-        block = compress(range(top, top - _SIEVE_SPAN * step, -step), flags)
-        found += islice(((q, _root_of_unity(step, q)) for q in block if arith.is_prime(q)),
-                        count - len(found))
-        top -= _SIEVE_SPAN * step
+    if len(found) < count:
+        step = 2 * m
+        top = found[-1][0] - step if found else (2**63 - 2) // step * step + 1
+        fresh = filter(arith.is_prime, range(top, 2**62, -step))
+        found += ((q, _root_of_unity(step, q)) for q in islice(fresh, count - len(found)))
     return found[:count]
 
 

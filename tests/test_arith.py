@@ -288,7 +288,7 @@ def _seeded_values(seed):
     rng = random.Random(seed)
     values = [rng.randrange(10 ** int(10 ** rng.uniform(0, 5))) * rng.choice((-1, 1))
               for _ in range(40)]
-    for w in (2048, 30_000, 30_001, 65_536):  # the leaf and the crossover in bits
+    for w in (2048, 30_000, 30_001, 65_536):  # the decimal route's leaf, then wider
         values += [2**w - 1, 2**w, -(2**w + 1)]
     values += [10**k + d for k in (9_031, 9_032, 50_000) for d in (-1, 0, 1)]
     return values

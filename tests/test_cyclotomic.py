@@ -4,11 +4,14 @@ import random
 import pytest
 
 from towerbound import arith, report, zpoly
+from test_arith import _twelve_base_battery
 from towerbound.gf import PrimeField, distinct_degree_profile
 from towerbound.cyclotomic import (
     _TERM,
+    _WORD_PRIMES,
     _reduce,
     _translate_marks,
+    _word_primes,
     CycloElement,
     ElementParseError,
     ModulusMismatch,
@@ -301,6 +304,29 @@ def test_norm_on_both_sides_of_half_the_terms_at_the_cap():
 def test_norm_at_the_extremes_matches_the_per_k_loop(m, coeffs, norm):
     a = CycloElement(cyclotomic_polynomial(m), coeffs)
     assert a.norm() == _per_k_norm(a) == norm
+
+
+def test_word_primes_are_the_largest_below_2_63_in_their_class():
+    # Every prime q = 1 (mod 2m) from 2^63 down, none skipped, each proved by
+    # an independent battery, with psi of order exactly 2m modulo q.
+    for m in (1, 2, 3, 4, 7, 101, 499):
+        step = 2 * m
+        word = _word_primes(m, 6)
+        qs = [q for q, _ in word]
+        assert len(qs) == 6 and qs == sorted(qs, reverse=True), m
+        assert all(2**62 < q < 2**63 and q % step == 1 for q in qs), m
+        for q in range(2**63 - 1 - (2**63 - 2) % step, qs[-1] - 1, -step):
+            assert _twelve_base_battery(q) == (q in qs), (m, q)
+        for q, psi in word:
+            orders = [d for d in range(1, step + 1) if step % d == 0 and pow(psi, d, q) == 1]
+            assert orders[:1] == [step], (m, q)
+    # a call for fewer primes than the cache holds takes its prefix
+    _WORD_PRIMES.clear()
+    calls = [_word_primes(3, k) for k in (2, 5, 3)]
+    _WORD_PRIMES.clear()
+    fresh = _word_primes(3, 5)
+    assert [len(c) for c in calls] == [2, 5, 3]
+    assert all(c == fresh[: len(c)] for c in calls)
 
 
 def test_match_up_to_unit_matches_naive_loop():

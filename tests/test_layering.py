@@ -49,18 +49,18 @@ def test_tower_selects_primes_without_gf():
     assert "gf" not in _package_imports("tower")
 
 
-def _used_names(module: str) -> tuple[set[str], set[str]]:
-    """(names ``module`` reads off ``cyclotomic.``, every name and attribute it uses)."""
+def _used_names(module: str, owner: str) -> tuple[set[str], set[str]]:
+    """(names ``module`` reads off ``owner.``, every name and attribute it uses)."""
     tree = ast.parse((PKG / f"{module}.py").read_text(encoding="utf-8"))
     via, used = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             used.add(node.attr)
-            if isinstance(node.value, ast.Name) and node.value.id == "cyclotomic":
+            if isinstance(node.value, ast.Name) and node.value.id == owner:
                 via.add(node.attr)
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.ImportFrom) and node.module == "cyclotomic":
+        elif isinstance(node, ast.ImportFrom) and node.module == owner:
             via.update(alias.name for alias in node.names)
     return via, used
 
@@ -71,9 +71,17 @@ def test_tower_decides_splitting_without_its_checking_route():
     # tower runs no mult_order and takes from cyclotomic only the places
     # above a split prime.  Requiring primes_above keeps the rule from
     # passing on a reader that finds nothing.
-    via, used = _used_names("tower")
+    via, used = _used_names("tower", "cyclotomic")
     assert via == {"primes_above"}
     assert "mult_order" not in used
+
+
+def test_cyclotomic_builds_no_sieve_of_its_own():
+    # The word primes behind the norms are filtered by arith.is_prime alone;
+    # arith's prime stream is the package's one sieve.
+    via, used = _used_names("cyclotomic", "arith")
+    assert "is_prime" in via
+    assert "primes" not in via and "bytearray" not in used
 
 
 def test_report_imports_only_the_formatters():
