@@ -27,6 +27,7 @@ __all__ = [
     "factorize",
     "euler_phi",
     "mult_order",
+    "least_conductor",
     "unit_generators",
     "primes",
     "primes_ascending",
@@ -222,6 +223,11 @@ def mult_order(a: int, m: int) -> int:
     return order
 
 
+def least_conductor(m: int) -> int:
+    """The least n with Q(zeta_n) = Q(zeta_m): m/2 when m = 2 (mod 4), m otherwise."""
+    return m // 2 if m % 4 == 2 else m
+
+
 @lru_cache(maxsize=None)
 def unit_generators(n: int) -> frozenset[int]:
     """The residues mod ``n`` >= 1 that generate (Z/n)*; empty when it is not cyclic.
@@ -231,7 +237,7 @@ def unit_generators(n: int) -> frozenset[int]:
     """
     if n < 1:
         raise ValueError("unit_generators expects n >= 1")
-    rest = n // 2 if n % 4 == 2 else n
+    rest = least_conductor(n)  # (Z/2k)* = (Z/k)* for odd k
     if n not in (1, 2, 4) and (rest % 2 == 0 or len(factorize(rest)) != 1):
         return frozenset()
     phi = euler_phi(n)

@@ -397,17 +397,17 @@ class SplittingData(NamedTuple):
 def splitting_data(q: int, m: int) -> SplittingData:
     """Splitting of the rational prime q in Q(zeta_m), q unramified.
 
-    Q(zeta_m) = Q(zeta_n) for n = m/2 when m = 2 (mod 4), and n = m
-    otherwise (Washington, Introduction to Cyclotomic Fields, Ch. 2).  For
-    q prime to n the residue degree is the multiplicative order of q mod n
-    and e*f*g = phi(n) with e = 1; over n = 1, the rationals, every prime
-    splits completely.  Raises :class:`RamifiedPrime` when q divides n.
+    Q(zeta_m) = Q(zeta_n) for n = ``arith.least_conductor(m)`` (Washington,
+    Introduction to Cyclotomic Fields, Ch. 2).  For q prime to n the residue
+    degree is the multiplicative order of q mod n and e*f*g = phi(n) with
+    e = 1; over n = 1, the rationals, every prime splits completely.  Raises
+    :class:`RamifiedPrime` when q divides n.
     """
     if m < 1:
         raise ValueError("conductor must be >= 1")
     if not arith.is_prime(q):
         raise ValueError(f"{q} is not prime")
-    n = m // 2 if m % 4 == 2 else m
+    n = arith.least_conductor(m)
     if n % q == 0:
         raise RamifiedPrime(f"{q} divides the conductor {m}")
     f = arith.mult_order(q, n)
@@ -425,18 +425,18 @@ class PrimeAbove(NamedTuple):
 def primes_above(q: int, m: int) -> tuple[PrimeAbove, ...]:
     """The phi(m) degree-1 primes above a totally split q, by ascending root.
 
-    q is taken to be prime; this is not checked.  With n = m/2 when
-    m = 2 (mod 4) and n = m otherwise, as in :func:`splitting_data`, q must
-    not divide n (:class:`RamifiedPrime`) and must be 1 mod n, i.e. have
-    residue degree 1 (:class:`NotTotallySplit` otherwise).  The roots of the
-    m-th cyclotomic polynomial mod q are the primitive m-th roots of unity
-    omega^k, gcd(k, m) = 1, for any one of them, omega; finding omega and its
-    powers costs O(phi(m) log q).  The only even split prime is q = 2 over
-    n = 1, where Phi_m = x + 1 mod 2 has the single root 1.
+    q is taken to be prime; this is not checked.  With n as in
+    :func:`splitting_data`, q must not divide n (:class:`RamifiedPrime`) and
+    must be 1 mod n, i.e. have residue degree 1 (:class:`NotTotallySplit`
+    otherwise).  The roots of the m-th cyclotomic polynomial mod q are the
+    primitive m-th roots of unity omega^k, gcd(k, m) = 1, for any one of
+    them, omega; finding omega and its powers costs O(phi(m) log q).  The
+    only even split prime is q = 2 over n = 1, where Phi_m = x + 1 mod 2 has
+    the single root 1.
     """
     if m < 1:
         raise ValueError("conductor must be >= 1")
-    n = m // 2 if m % 4 == 2 else m
+    n = arith.least_conductor(m)
     if n % q == 0:
         raise RamifiedPrime(f"{q} divides the conductor {m}")
     if (q - 1) % n:

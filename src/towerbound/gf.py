@@ -5,8 +5,8 @@ Its public element operations take plain values: residues are ints in
 [0, q); extension-field elements are coordinate tuples of length f over
 Z/qZ, reduced modulo a fixed monic irreducible generator.
 
-The polynomial kernel has one body for every field and runs on int codes,
-0 for zero and 1 for one: a residue is its own code, and an extension-field
+Polynomials run on :mod:`towerbound.zpoly`'s kernel, on int codes, 0 for
+zero and 1 for one: a residue is its own code, and an extension-field
 element is coded by its Zech logarithm (1 + i for alpha^i) when the field
 has at most ``_ZECH_MAX`` elements, by its coordinates in base q otherwise.
 Polynomials are lists of codes, constant term first, zero polynomial = empty
@@ -24,6 +24,8 @@ import operator
 from typing import NamedTuple, Sequence, Union
 
 from . import arith, cyclotomic, zpoly
+from .zpoly import (poly_derivative, poly_divmod, poly_gcd, poly_mod, poly_monic, poly_mul,
+                    poly_powmod, poly_sub, poly_trim)
 
 __all__ = [
     "ZeroPolynomial",
@@ -158,8 +160,8 @@ class ExtensionField(NamedTuple("ExtensionField", [("q", int), ("degree", int),
         return tuple(-x % self.q for x in a)
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        a, b, base = _poly_trim(a), _poly_trim(b), self.base
-        return self._pad(_poly_mod(base, _poly_mul(base, a, b), self.generator))
+        a, b, base = poly_trim(a), poly_trim(b), self.base
+        return self._pad(poly_mod(base, poly_mul(base, a, b), self.generator))
 
     def inv(self, a: tuple) -> tuple:
         base, r0, r1 = self.base, self.generator, _coded(self.base, a)[1]
@@ -167,8 +169,8 @@ class ExtensionField(NamedTuple("ExtensionField", [("q", int), ("degree", int),
             raise ZeroDivisionError("inverse of zero")
         s0, s1 = [], [1]
         while len(r1) > 1:  # extended Euclid in (Z/qZ)[y] against the generator
-            quo, rem = _poly_divmod(base, r0, r1)
-            r0, r1, s0, s1 = r1, rem, s1, _poly_sub(base, s0, _poly_mul(base, quo, s1))
+            quo, rem = poly_divmod(base, r0, r1)
+            r0, r1, s0, s1 = r1, rem, s1, poly_sub(base, s0, poly_mul(base, quo, s1))
         c = base.inv(r1[0])  # a nonzero constant: the generator is irreducible
         return self._pad([base.mul(c, x) for x in s1])
 
@@ -228,7 +230,7 @@ class _Zech(_Coords):
         q, n = self.q, K.size - 1
         alpha = next(
             a for a in map(super().decode, range(2, K.size))
-            if all(_poly_powmod(K.base, _coded(K.base, a)[1], n // r, K.generator) != [1]
+            if all(poly_powmod(K.base, _coded(K.base, a)[1], n // r, K.generator) != [1]
                    for r in arith.factorize(n))
         )
         # the matrix of y -> alpha * y on coordinates, by rows
@@ -277,90 +279,8 @@ class _Zech(_Coords):
 def _coded(K: Field, poly: Sequence) -> tuple[Union[PrimeField, _Coords], FqPoly]:
     """The kernel's arithmetic for ``K`` and ``poly`` in its codes, trimmed."""
     if isinstance(K, PrimeField):
-        return K, _poly_trim([c % K.q for c in poly])
-    return K.codes, _poly_trim([K.codes.encode(c) for c in poly])
-
-
-# ---------------------------------------------------------------------------
-# polynomial arithmetic on int codes (0 is zero, 1 is one in every coding);
-# every polynomial in and out is trimmed
-# ---------------------------------------------------------------------------
-
-
-def _poly_trim(p: Sequence) -> FqPoly:
-    out = list(p)
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _poly_deg(p: Sequence) -> int:
-    return len(p) - 1
-
-
-def _poly_sub(K, a: Sequence, b: Sequence) -> FqPoly:
-    out = list(a) + [0] * (len(b) - len(a))
-    K.axpy(out, 0, K.neg(1), b)
-    return _poly_trim(out)
-
-
-def _poly_mul(K, a: Sequence, b: Sequence) -> FqPoly:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            K.axpy(out, i, x, b)
-    return out
-
-
-def _poly_divmod(K, a: Sequence, b: Sequence) -> tuple[FqPoly, FqPoly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    nb = len(b)
-    if len(a) < nb:
-        return [], list(a)
-    binv = 1 if b[-1] == 1 else K.inv(b[-1])  # a monic divisor is not inverted
-    rem, quo = list(a), [0] * (len(a) - nb + 1)
-    for shift in range(len(a) - nb, -1, -1):
-        top = rem[shift + nb - 1]
-        if top:
-            c = quo[shift] = top if binv == 1 else K.mul(top, binv)
-            K.axpy(rem, shift, K.neg(c), b)
-    return quo, _poly_trim(rem[: nb - 1])
-
-
-def _poly_mod(K, a: Sequence, b: Sequence) -> FqPoly:
-    return _poly_divmod(K, a, b)[1]
-
-
-def _poly_monic(K, a: Sequence) -> FqPoly:
-    if not a or a[-1] == 1:
-        return list(a)
-    inv = K.inv(a[-1])
-    return [K.mul(inv, c) for c in a]
-
-
-def _poly_gcd(K, a: Sequence, b: Sequence) -> FqPoly:
-    while b:
-        a, b = b, _poly_mod(K, a, b)
-    return _poly_monic(K, a)
-
-
-def _poly_powmod(K, base: Sequence, e: int, mod: Sequence) -> FqPoly:
-    result = [1]
-    cur = _poly_mod(K, base, mod)
-    while e > 0:
-        if e & 1:
-            result = _poly_mod(K, _poly_mul(K, result, cur), mod)
-        e >>= 1
-        if e:
-            cur = _poly_mod(K, _poly_mul(K, cur, cur), mod)
-    return result
-
-
-def _poly_derivative(K, a: Sequence) -> FqPoly:
-    return _poly_trim(K.mul(K.from_int(i), a[i]) for i in range(1, len(a)))
+        return K, poly_trim([c % K.q for c in poly])
+    return K.codes, poly_trim([K.codes.encode(c) for c in poly])
 
 
 def _frobenius(K, f: Sequence) -> list[FqPoly]:
@@ -370,10 +290,10 @@ def _frobenius(K, f: Sequence) -> list[FqPoly]:
     one power of x gives every Frobenius power by composition (von zur
     Gathen & Shoup 1992).
     """
-    xq = _poly_powmod(K, [0, 1], K.size, f)
+    xq = poly_powmod(K, [0, 1], K.size, f)
     images = [[1]]
     for _ in range(len(f) - 2):
-        images.append(_poly_mod(K, _poly_mul(K, images[-1], xq), f))
+        images.append(poly_mod(K, poly_mul(K, images[-1], xq), f))
     return images
 
 
@@ -383,7 +303,7 @@ def _compose(K, h: Sequence, images: Sequence) -> FqPoly:
     for c, image in zip(h, images):
         if c:
             K.axpy(out, 0, c, image)
-    return _poly_trim(out)
+    return poly_trim(out)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +322,8 @@ def is_irreducible(K: Field, poly: Sequence) -> bool:
     C, f = _coded(K, poly)
     if not f:
         raise ZeroPolynomial("irreducibility of the zero polynomial")
-    f = _poly_monic(C, f)
-    n = _poly_deg(f)
+    f = poly_monic(C, f)
+    n = len(f) - 1
     if n <= 1:
         return n == 1
     images = _frobenius(C, f)
@@ -411,7 +331,7 @@ def is_irreducible(K: Field, poly: Sequence) -> bool:
     for _ in range(n):
         powers.append(_compose(C, powers[-1], images))
     return powers[n] == [0, 1] and all(
-        _poly_deg(_poly_gcd(C, _poly_sub(C, powers[n // r], [0, 1]), f)) == 0
+        len(poly_gcd(C, poly_sub(C, powers[n // r], [0, 1]), f)) == 1
         for r in arith.factorize(n)
     )
 
@@ -428,32 +348,32 @@ def distinct_degree_profile(K: Field, poly: Sequence) -> tuple[tuple[int, int], 
     C, f = _coded(K, poly)
     if not f:
         raise ZeroPolynomial("degree profile of the zero polynomial")
-    f = _poly_monic(C, f)
-    if _poly_deg(f) == 0:
+    f = poly_monic(C, f)
+    if len(f) == 1:
         return ()
-    fprime = _poly_derivative(C, f)
-    if not fprime or _poly_deg(_poly_gcd(C, f, fprime)) != 0:
+    fprime = poly_derivative(C, f)
+    if not fprime or len(poly_gcd(C, f, fprime)) != 1:
         raise NotSquarefree("polynomial has a repeated factor")
     x = [0, 1]
     profile: list[tuple[int, int]] = []
     h = x
     images = _frobenius(C, f)
     d = 0
-    while _poly_deg(f) > 0:
+    while len(f) > 1:
         d += 1
-        if _poly_deg(f) < 2 * d:
+        if len(f) - 1 < 2 * d:
             # What is left is a single irreducible factor.
-            profile.append((_poly_deg(f), 1))
+            profile.append((len(f) - 1, 1))
             break
         h = _compose(C, h, images)
-        g = _poly_gcd(C, _poly_sub(C, h, x), f)
-        if _poly_deg(g) > 0:
-            profile.append((d, _poly_deg(g) // d))
-            f, rem = _poly_divmod(C, f, g)
+        g = poly_gcd(C, poly_sub(C, h, x), f)
+        if len(g) > 1:
+            profile.append((d, (len(g) - 1) // d))
+            f, rem = poly_divmod(C, f, g)
             if rem:
                 raise ArithmeticError("inexact division while peeling factors")
-            h = _poly_mod(C, h, f)
-            images = [_poly_mod(C, p, f) for p in images[: _poly_deg(f)]]
+            h = poly_mod(C, h, f)
+            images = [poly_mod(C, p, f) for p in images[: len(f) - 1]]
     return tuple(profile)
 
 
@@ -504,10 +424,13 @@ def is_inert_in_relative_extension(
     the relative extension; ``q`` must not divide the conductor
     (:class:`RamifiedPrime`) nor the discriminant of ``def_poly``
     (:class:`DiscriminantDivisible`), which rules out ramification upstairs.
-    Under those guards, a prime of residue degree f stays inert exactly when
-    the polynomial is irreducible over the residue field F_{q^f}.  That holds
-    iff it is irreducible over F_q and gcd(deg, f) = 1 (Lidl & Niederreiter,
-    Finite Fields, Thm 3.46), so no extension field is ever built.
+    Being monic, ``def_poly`` has a discriminant divisible by q iff it has a
+    repeated factor mod q: a non-constant gcd with its derivative mod q,
+    which may be zero.  Under those guards, a prime of residue degree f stays
+    inert exactly when the polynomial is irreducible over the residue field
+    F_{q^f}.  That holds iff it is irreducible over F_q and gcd(deg, f) = 1
+    (Lidl & Niederreiter, Finite Fields, Thm 3.46), so no extension field is
+    ever built.
 
     Because the coefficients are rational integers, every residue field above
     q sees the same image of the polynomial, so the per-prime answers
@@ -519,12 +442,9 @@ def is_inert_in_relative_extension(
     if poly[-1] != 1:
         raise ValueError("defining polynomial must be monic")
     sd = cyclotomic.splitting_data(q, base_conductor)
-    disc = zpoly.discriminant(poly)
-    if disc % q == 0:
-        raise DiscriminantDivisible(
-            f"{q} divides the discriminant {disc} of the defining polynomial"
-        )
-    verdict = math.gcd(zpoly.degree(poly), sd.f) == 1 and is_irreducible(
-        PrimeField(q), poly
-    )
+    F, f = _coded(PrimeField(q), poly)
+    if len(poly_gcd(F, f, poly_derivative(F, f))) > 1:
+        raise DiscriminantDivisible(f"{q} divides the discriminant "
+                                    f"{zpoly.discriminant(poly)} of the defining polynomial")
+    verdict = math.gcd(zpoly.degree(poly), sd.f) == 1 and is_irreducible(F, f)
     return [verdict] * sd.g

@@ -14,7 +14,7 @@ import functools
 import math
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from . import arith, catalog, cyclotomic, zpoly
+from . import arith, catalog, cyclotomic
 from .catalog import Diagnostic
 from .report import base_label
 
@@ -246,18 +246,17 @@ class CyclotomicBase(NamedTuple):
     @property
     def classes(self) -> tuple[int, frozenset[int]]:
         """(N, the classes mod N of the qualifying primes); see prime_qualifies."""
-        c = self.conductor
-        n = c // 2 if c % 4 == 2 else c  # Q(zeta_c) = Q(zeta_(c/2)) for odd c/2
+        n = arith.least_conductor(self.conductor)
         return n, arith.unit_generators(n)
 
     def prime_qualifies(self, q: int) -> bool:
         """Whether the prime ``q`` is inert in Q(zeta_c), as the selection wants.
 
-        ``q`` must already be prime.  Read at n = c/2 when c = 2 (mod 4), as
-        Q(zeta_c) = Q(zeta_n) there, and at n = c otherwise, it is inert iff
-        it does not divide n and generates (Z/n)* (Washington, Introduction
-        to Cyclotomic Fields, Thm 2.13), so it qualifies iff q mod n is one of
-        the generators; over n = 1 (the rationals) every prime counts.
+        ``q`` must already be prime.  Read at n = ``arith.least_conductor(c)``,
+        it is inert iff it does not divide n and generates (Z/n)* (Washington,
+        Introduction to Cyclotomic Fields, Thm 2.13), so it qualifies iff
+        q mod n is one of the generators; over n = 1 (the rationals) every
+        prime counts.
         """
         n, residues = self.classes
         return q % n in residues
@@ -408,7 +407,7 @@ class RelativeCubicBase(NamedTuple):
         """Whether the prime ``q`` splits totally downstairs, then stays inert.
 
         ``q`` must already be prime.  It splits totally in Q(zeta_c) iff
-        q = 1 (mod n), for n = c/2 when c = 2 (mod 4) and n = c otherwise.  An
+        q = 1 (mod n), for n = ``arith.least_conductor(c)``.  An
         irreducible cubic of discriminant f^2, f a prime = 1 (mod 3), has
         field discriminant f^2 (the quotient is a square, and no field has
         discriminant 1), so by the conductor-discriminant formula (Washington,
@@ -422,6 +421,11 @@ class RelativeCubicBase(NamedTuple):
         return q % n in residues
 
 
+def _cubic_discriminant(c: int, b: int, a: int) -> int:
+    """disc(x^3 + a x^2 + b x + c), in closed form: the base is a cubic by definition."""
+    return a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
+
+
 @functools.cache
 def _cubic_conductor(poly: tuple[int, ...]) -> int | None:
     """The prime f = 1 (mod 3) with disc(poly) = f^2, or None for any other poly.
@@ -433,7 +437,7 @@ def _cubic_conductor(poly: tuple[int, ...]) -> int | None:
     """
     if len(poly) != 4 or poly[-1] != 1:
         return None
-    disc = zpoly.discriminant(list(poly))
+    disc = _cubic_discriminant(*poly[:3])
     f = math.isqrt(max(disc, 0))
     if f * f != disc or f % 3 != 1 or not arith.is_prime(f):
         return None
@@ -450,7 +454,7 @@ def _cubic_classes(c: int, poly: tuple[int, ...]) -> tuple[int, frozenset[int]]:
     f = _cubic_conductor(poly)
     if f is None:
         return 1, frozenset()
-    step = c // 2 if c % 4 == 2 else c  # Q(zeta_c) = Q(zeta_(c/2)) for odd c/2
+    step = arith.least_conductor(c)
     n = step * f
     return n, frozenset(
         r for r in range(1, n, step) if r % f and pow(r, (f - 1) // 3, f) != 1

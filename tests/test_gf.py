@@ -171,10 +171,50 @@ def test_relative_inertness_higher_residue_degree():
     assert (roots == 0) == verdicts[0]
 
 
+@pytest.mark.parametrize("poly, q, raises", [
+    ([1, 0, 1], 2, True),  # (x + 1)^2 mod 2, whose derivative is 0
+    ([2, 0, 0, 1], 3, True),  # (x + 2)^3 mod 3, whose derivative is 0
+    ([-1, -1, 0, 1], 3, False),  # disc = -23
+])
+def test_ramification_gate_in_small_characteristic(poly, q, raises):
+    if raises:
+        with pytest.raises(DiscriminantDivisible, match=f"^{q} divides the discriminant "):
+            is_inert_in_relative_extension(poly, q, 7)
+    else:
+        assert is_inert_in_relative_extension(poly, q, 7) == [False]  # f = 6, degree 3
+
+
+def test_ramification_gate_matches_the_discriminant():
+    # q | disc(f) exactly when f mod q has a repeated factor, for monic f;
+    # the message still quotes the discriminant
+    rng = random.Random(2027)
+    primes = [q for q in range(2, 60) if q != 7 and arith.is_prime(q)]
+    raised = 0
+    for _ in range(80):
+        poly = [rng.randint(-12, 12) for _ in range(rng.randint(1, 5))] + [1]
+        disc = zpoly.discriminant(poly)
+        for q in primes:
+            if disc % q:
+                is_inert_in_relative_extension(poly, q, 7)  # passes the gate
+                continue
+            raised += 1
+            with pytest.raises(DiscriminantDivisible) as info:
+                is_inert_in_relative_extension(poly, q, 7)
+            assert str(info.value) == (
+                f"{q} divides the discriminant {disc} of the defining polynomial")
+    assert raised > 100
+
+
+@functools.cache
+def _discriminant(def_poly):
+    # the sweeps below ask for one polynomial's discriminant at every prime
+    return zpoly.discriminant(list(def_poly))
+
+
 def _inert_over_residue_field(def_poly, q, m):
     """Oracle: test the polynomial over the residue field F_{q^f} itself."""
     sd = cyclotomic.splitting_data(q, m)
-    if zpoly.discriminant(list(def_poly)) % q == 0:
+    if _discriminant(tuple(def_poly)) % q == 0:
         raise DiscriminantDivisible(q)
     K = build_extension_field(q, sd.f)
     return [gf.is_irreducible(K, [K.from_int(c) for c in def_poly])] * sd.g

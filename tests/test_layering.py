@@ -9,7 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from towerbound import arith
+from towerbound import arith, gf, zpoly
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "towerbound"
 
@@ -84,6 +84,26 @@ def test_cyclotomic_builds_no_sieve_of_its_own():
     assert "primes" not in via and "bytearray" not in used
 
 
+def test_tower_asks_no_polynomial_kernel():
+    # A relative cubic's discriminant comes in closed form; zpoly's resultant
+    # runs over Q, on Fractions, and stays off prime selection.
+    assert "zpoly" not in _package_imports("tower")
+
+
+def test_gf_runs_on_zpolys_kernel():
+    # One kernel for Z, Q and F_q: each kernel name gf reads is zpoly's own
+    # object, and no module-level function of gf takes a kernel name, so a
+    # second copy cannot come back beside the first.
+    kernel = {name for name in vars(zpoly) if name.startswith("poly_")}
+    via, _ = _used_names("gf", "zpoly")
+    assert {"poly_mul", "poly_divmod", "poly_gcd", "poly_derivative"} <= via & kernel
+    assert all(getattr(gf, name) is getattr(zpoly, name) for name in via & kernel)
+    tree = ast.parse((PKG / "gf.py").read_text(encoding="utf-8"))
+    defined = {node.name.lstrip("_") for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "is_irreducible" in defined
+    assert not defined & (kernel | {name.removeprefix("poly_") for name in kernel})
+
+
 def test_report_imports_only_the_formatters():
     assert _package_imports("report") <= {"arith"}
 
@@ -143,3 +163,20 @@ def test_the_cli_starts_without_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out == "[]\n"
+
+
+def test_the_cli_paths_leave_fractions_unimported():
+    # zpoly's resultant runs over Q on Fractions, and fractions loads decimal.
+    # The CLI's discriminant questions take the closed form and the
+    # repeated-factor gate instead, as a fresh interpreter shows.
+    env = {**os.environ, "PYTHONPATH": str(PKG.parent)}
+    code = ("import contextlib, io, sys, towerbound.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['reproduce', 'all']), cli.main(["
+            "'construct', '--base', 'bundled-cubic', '--ell', '3', '--p', '7', "
+            "'--family', 'nilpotent-class-2', '--dimension', '3', "
+            "'--twist-exponent', '1', '--rank-target', '300', '--json'])]\n"
+            "print(codes, 'fractions' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out == "[0, 0] False\n"
