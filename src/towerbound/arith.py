@@ -7,12 +7,12 @@ values in the hundreds of digits are routine and nothing ever rounds.
 from __future__ import annotations
 
 import math
-import random
 import sys
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 from itertools import chain, compress, filterfalse, islice
 from itertools import count as count_from
-from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "NotCoprime",
@@ -40,6 +40,33 @@ class NotCoprime(ValueError):
 
 class SearchExhausted(RuntimeError):
     """Raised when a bounded prime search hits its ceiling before finding enough primes."""
+
+
+class _RecordType(type):
+    """Makes each subclass of :class:`Record` a ``collections.namedtuple``.
+
+    As under ``typing.NamedTuple``, the fields are the body's annotated names
+    in order, a value assigned to one is its default, and the body's methods,
+    docstring and ``__qualname__`` are copied onto the tuple class.  The
+    annotations stay strings, where typing compiled each one.
+    """
+
+    def __new__(mcs, name: str, bases: tuple, ns: dict) -> type:
+        fields = tuple(ns.get("__annotations__", ()))
+        defaulted = tuple(f for f in fields if f in ns)
+        if defaulted != fields[len(fields) - len(defaulted):]:
+            raise TypeError(f"{name}: a field without a default follows one with a default")
+        cls = namedtuple(name, fields, defaults=[ns[f] for f in defaulted],
+                         module=ns["__module__"])
+        for key, value in ns.items():
+            if key not in fields:
+                setattr(cls, key, value)
+        return cls
+
+
+#: The base of the package's records, here because every module imports arith:
+#: ``class R(Record)`` with annotated fields is a named tuple, MRO (R, tuple, object).
+Record = type.__new__(_RecordType, "Record", (), {})
 
 
 #: Default upper bound for prime searches; generous for desk-scale runs.
@@ -157,6 +184,8 @@ def is_prime(n: int) -> bool:
     if n < PROOF_BOUND:
         witnesses: Iterable[int] = filter(None, (a % n for a in _WITNESSES_BELOW_64))
     else:
+        import random  # here, not at the top: only wide candidates need it
+
         rng = random.Random(n ^ 0x5F3759DF)
         witnesses = (rng.randrange(2, n - 1) for _ in range(WIDE_WITNESS_COUNT))
     return all(_strong_probable_prime(n, a) for a in witnesses)

@@ -10,9 +10,8 @@ rule id and the numbers substituted in.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from . import catalog, report
+from .arith import Record
 from .catalog import Diagnostic
 from .tower import TowerPlan
 
@@ -35,7 +34,7 @@ class PlanNotInflated(ValueError):
     """Raised when fine-Selmer rows are requested from a plan with no declared gap rank."""
 
 
-class AbelianVarietyDesc(NamedTuple):
+class AbelianVarietyDesc(Record):
     """The facts about an abelian variety that the fine-Selmer chain consumes."""
 
     label: str
@@ -45,7 +44,7 @@ class AbelianVarietyDesc(NamedTuple):
     provenance: str = "external-database"
 
 
-class CertificateRow(NamedTuple):
+class CertificateRow(Record):
     """All certified quantities at a single tower layer, in column order."""
 
     layer: int
@@ -57,14 +56,14 @@ class CertificateRow(NamedTuple):
     fine_conservative: int | None = None
 
 
-class TraceStep(NamedTuple):
+class TraceStep(Record):
     """One asserted inequality: a stable rule id plus the instantiated statement."""
 
     rule: str
     statement: str
 
 
-class BoundCertificate(NamedTuple):
+class BoundCertificate(Record):
     """Per-layer certified bounds as one column table, with trace and caveats.
 
     Column (c, b, margin) has the cell max(c * b^n - margin, 0) at layer n, in

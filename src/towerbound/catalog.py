@@ -8,14 +8,12 @@ code 0 while still reporting exactly what does not line up.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .arith import PROOF_BOUND, WIDE_WITNESS_COUNT
+from .arith import PROOF_BOUND, WIDE_WITNESS_COUNT, Record
 
 __all__ = ["Diagnostic", "KNOWN_CODES", "make", "probable_primes"]
 
 
-class Diagnostic(NamedTuple):
+class Diagnostic(Record):
     """A single catalogued finding attached to a run."""
 
     code: str

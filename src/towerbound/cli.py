@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import arith, catalog, cyclotomic, report
 from .bounds import build_certificate
@@ -109,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit a canonical JSON document"
     )
     common.add_argument(
-        "--out", type=Path, default=None, help="write the report to this path"
+        "--out", default=None, help="write the report to this path"
     )
     layered = argparse.ArgumentParser(add_help=False)
     layered.add_argument(
@@ -324,8 +323,11 @@ def _deliver(args: argparse.Namespace, kind: str, data: dict) -> None:
     else:
         text = report.text_block(kind, data)
     if args.out is not None:
-        args.out.write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
+        from pathlib import Path  # here, not at the top: only --out needs it
+
+        out = Path(args.out)
+        out.write_text(text, encoding="utf-8")
+        print(f"wrote {out}")
     else:
         sys.stdout.write(text)
 

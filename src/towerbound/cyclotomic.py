@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import islice
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
 
 from . import arith, zpoly
+from .arith import Record
 
 __all__ = [
     "ModulusMismatch",
@@ -53,7 +54,7 @@ class ElementParseError(ValueError):
     """Raised when a zeta-notation string does not match the accepted grammar."""
 
 
-class CycloModulus(NamedTuple):
+class CycloModulus(Record):
     """The field Q(zeta_m): conductor, degree, and the reduction polynomial."""
 
     m: int
@@ -91,7 +92,7 @@ def _reduce(mod: CycloModulus, raw: Sequence[int]) -> tuple[int, ...]:
     return tuple(rem)
 
 
-class CycloElement(NamedTuple):
+class CycloElement(Record):
     """An element of Z[zeta_m] on the power basis."""
 
     modulus: CycloModulus
@@ -384,7 +385,7 @@ def match_up_to_unit(el: CycloElement, target: int) -> tuple[int, int] | None:
     return None
 
 
-class SplittingData(NamedTuple):
+class SplittingData(Record):
     """Ramification/residue data (e, f, g) for a rational prime q in Q(zeta_m)."""
 
     q: int
@@ -414,7 +415,7 @@ def splitting_data(q: int, m: int) -> SplittingData:
     return SplittingData(q=q, m=m, e=1, f=f, g=arith.euler_phi(n) // f)
 
 
-class PrimeAbove(NamedTuple):
+class PrimeAbove(Record):
     """A degree-1 prime of Z[zeta_m] above q, as the ideal (q, zeta - root)."""
 
     q: int

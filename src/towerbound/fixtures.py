@@ -9,9 +9,8 @@ diagnostic catalogue instead of silently repairing them.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from . import catalog
+from .arith import Record
 from .bounds import AbelianVarietyDesc
 from .tower import (
     CyclotomicBase,
@@ -113,7 +112,7 @@ _AV_19A1 = AbelianVarietyDesc(
 BUNDLED_AV = {av.label: av for av in (_AV_11A1, _AV_19A1)}
 
 
-class Fixture(NamedTuple):
+class Fixture(Record):
     """One worked example: its construction inputs and pinned outputs."""
 
     fixture_id: str

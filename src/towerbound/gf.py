@@ -21,7 +21,8 @@ import functools
 import itertools
 import math
 import operator
-from typing import NamedTuple, Sequence, Union
+from collections import namedtuple
+from collections.abc import Sequence
 
 from . import arith, cyclotomic, zpoly
 from .zpoly import (poly_derivative, poly_divmod, poly_gcd, poly_mod, poly_monic, poly_mul,
@@ -56,7 +57,7 @@ class DiscriminantDivisible(ValueError):
 
 
 #: An element of a finite field: a residue (int) or a coordinate tuple.
-FqElement = Union[int, tuple]
+FqElement = int | tuple
 
 #: A polynomial over a finite field: list of elements, constant term first.
 FqPoly = list
@@ -110,24 +111,28 @@ class PrimeField:
             out[j] = (out[j] + c * y) % q
 
 
-class ExtensionField(NamedTuple("ExtensionField", [("q", int), ("degree", int),
-                                                   ("generator", tuple)])):
+class ExtensionField(namedtuple("ExtensionField", ("q", "degree", "generator"))):
     """The field F_{q^degree} = (Z/qZ)[y] modulo a monic irreducible generator.
 
     Elements are coordinate tuples of length ``degree`` (constant first).
-    The generator (monic, length degree + 1, constant first) is re-certified
-    irreducible at construction time; ``base`` is Z/qZ, outside the tuple.
+    A given generator (monic, length degree + 1, constant first) is certified
+    irreducible at construction time; without one, the field takes the first
+    of :func:`irreducible_generator`'s scan.  ``base`` is Z/qZ, outside the
+    tuple.
     """
 
-    def __new__(cls, q: int, degree: int, generator: tuple[int, ...]) -> ExtensionField:
+    def __new__(cls, q: int, degree: int, generator: tuple | None = None) -> ExtensionField:
         if degree < 2:
             raise ValueError("extension degree must be >= 2")
-        if len(generator) != degree + 1 or generator[-1] != 1:
+        base = PrimeField(q)
+        if generator is None:
+            generator = _first_irreducible(base, degree)
+        elif len(generator) != degree + 1 or generator[-1] != 1:
             raise ValueError("generator must be monic of the stated degree")
-        self = super().__new__(cls, q, degree, generator)
-        self.base = PrimeField(q)
-        if not is_irreducible(self.base, generator):
+        elif not is_irreducible(base, generator):
             raise ValueError("generator polynomial is not irreducible")
+        self = super().__new__(cls, q, degree, generator)
+        self.base = base
         return self
 
     @functools.cached_property
@@ -175,7 +180,7 @@ class ExtensionField(NamedTuple("ExtensionField", [("q", int), ("degree", int),
         return self._pad([base.mul(c, x) for x in s1])
 
 
-Field = Union[PrimeField, ExtensionField]
+Field = PrimeField | ExtensionField
 
 #: Largest field whose Zech tables are built.  Measured on a 2-core Xeon with
 #: CPython 3.11, a build costs 3-12 us per element, and over a field this size
@@ -276,7 +281,7 @@ class _Zech(_Coords):
                 out[j] = t
 
 
-def _coded(K: Field, poly: Sequence) -> tuple[Union[PrimeField, _Coords], FqPoly]:
+def _coded(K: Field, poly: Sequence) -> tuple[PrimeField | _Coords, FqPoly]:
     """The kernel's arithmetic for ``K`` and ``poly`` in its codes, trimmed."""
     if isinstance(K, PrimeField):
         return K, poly_trim([c % K.q for c in poly])
@@ -391,8 +396,11 @@ def irreducible_generator(q: int, degree: int) -> tuple[int, ...]:
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    base = PrimeField(q)
-    for tail in itertools.product(range(q), repeat=degree):  # c_0 runs fastest
+    return _first_irreducible(PrimeField(q), degree)
+
+
+def _first_irreducible(base: PrimeField, degree: int) -> tuple[int, ...]:
+    for tail in itertools.product(range(base.q), repeat=degree):  # c_0 runs fastest
         if is_irreducible(base, tail[::-1] + (1,)):
             return tail[::-1] + (1,)
     raise ArithmeticError("no irreducible polynomial found (impossible)")
@@ -404,8 +412,7 @@ def build_extension_field(q: int, f: int) -> Field:
         raise ValueError("extension degree must be >= 1")
     if f == 1:
         return PrimeField(q)
-    gen = irreducible_generator(q, f)
-    return ExtensionField(q=q, degree=f, generator=gen)
+    return ExtensionField(q, f)
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,11 @@ it.
 
 from __future__ import annotations
 
+from _json import encode_basestring_ascii, make_encoder
+from collections.abc import Callable
 from functools import cache
 from itertools import accumulate, chain, compress, repeat, takewhile
-from json import JSONEncoder
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import add, is_, mul
-from typing import Any, Callable
 
 from .arith import exact_decimal_context, format_decimal
 
@@ -118,7 +117,7 @@ def classification(sd) -> str:
     return "inert" if sd.g == 1 else "partially split"
 
 
-def stable_json(doc: Any) -> str:
+def stable_json(doc: object) -> str:
     """Canonical JSON: sorted keys, two-space indent, ASCII only, newline end.
 
     For str-keyed documents the bytes are those of ``json.dumps(doc,
@@ -140,14 +139,19 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 _PLAIN = bytes(range(32, 127)).translate(None, b'"\\')
 
 
+def _unencodable(o: object):
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 @cache
 def _flat_encoder(pad: str) -> Callable:
-    # Encodes a scalar or a container of scalars, its items separated by pad.
-    return c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii,
-                          None, ": ", "," + pad, True, False, True)
+    # Encodes a scalar or a container of scalars, its items separated by pad:
+    # the C encoder behind ``json``, whose package loads its decoder as well.
+    return make_encoder(None, _unencodable, encode_basestring_ascii,
+                        None, ": ", "," + pad, True, False, True)
 
 
-def _indented(o: Any, pad: str) -> str:
+def _indented(o: object, pad: str) -> str:
     """``o`` as indented JSON, its closing bracket after ``pad`` (newline, indent)."""
     inner = pad + "  "
     is_dict = isinstance(o, dict)

@@ -8,9 +8,10 @@ while stating exactly what differs; anything uncatalogued is a hard failure.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
 
 from . import arith, catalog, cyclotomic, gf, zpoly
+from .arith import Record
 from .bounds import BoundCertificate, build_certificate
 from .catalog import Diagnostic
 from .fixtures import Fixture, build_plan, get_fixture
@@ -24,7 +25,7 @@ WARN = "warning"
 FAIL = "fail"
 
 
-class CheckResult(NamedTuple):
+class CheckResult(Record):
     """One reproduction check: recomputed vs pinned, with any diagnostics."""
 
     name: str
@@ -33,7 +34,7 @@ class CheckResult(NamedTuple):
     diagnostics: tuple[Diagnostic, ...] = ()
 
 
-class ReproductionResult(NamedTuple):
+class ReproductionResult(Record):
     """Everything one reproduction run produced."""
 
     fixture_id: str

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, NamedTuple, Sequence, Union
+from collections.abc import Iterable, Sequence
 
 from . import arith, catalog, cyclotomic
+from .arith import Record
 from .catalog import Diagnostic
 from .report import base_label
 
@@ -41,7 +42,7 @@ class EqualPrimes(ValueError):
     """Raised when the Kummer prime and the tower prime coincide."""
 
 
-class CheckItem(NamedTuple):
+class CheckItem(Record):
     """One validated condition: what was checked, whether it holds, and why."""
 
     name: str
@@ -49,7 +50,7 @@ class CheckItem(NamedTuple):
     detail: str = ""
 
 
-class ValidationReport(NamedTuple):
+class ValidationReport(Record):
     """The full list of conditions a construction was checked against."""
 
     items: tuple[CheckItem, ...]
@@ -76,7 +77,7 @@ FAMILY_ABELIAN = "abelian"
 FAMILY_NILPOTENT = "nilpotent-class-2"
 
 
-class GroupSpec(NamedTuple):
+class GroupSpec(Record):
     """A uniform pro-p group of finite rank with a cyclic action on top.
 
     ``family`` picks the shape: ``abelian`` is the free abelian pro-p group of
@@ -197,7 +198,7 @@ def ramified_place_target(
 # ---------------------------------------------------------------------------
 
 
-class CyclotomicBase(NamedTuple):
+class CyclotomicBase(Record):
     """Base field Q(zeta_c): the degree-2 step is complex conjugation."""
 
     conductor: int
@@ -275,7 +276,7 @@ def _single_place_degree(p: int, c: int) -> int:
     return arith.euler_phi(r) if p % r in arith.unit_generators(r) else 0
 
 
-class RelativeCubicBase(NamedTuple):
+class RelativeCubicBase(Record):
     """Base field Q(zeta_c)(theta) for a monic integer cubic satisfied by theta.
 
     ``class_number`` is the field's class number, taken from standard tables;
@@ -461,7 +462,7 @@ def _cubic_classes(c: int, poly: tuple[int, ...]) -> tuple[int, frozenset[int]]:
     )
 
 
-BaseField = Union[CyclotomicBase, RelativeCubicBase]
+BaseField = CyclotomicBase | RelativeCubicBase
 
 
 def select_primes(
@@ -478,14 +479,14 @@ def select_primes(
     return arith.primes_ascending(count, None, exclude, ceiling, classes=base.classes)
 
 
-class PlaceRef(NamedTuple):
+class PlaceRef(Record):
     """A place of the base field above a selected rational prime."""
 
     q: int
     root: int | None = None  # root of the conductor's cyclotomic poly mod q
 
 
-class TowerPlan(NamedTuple):
+class TowerPlan(Record):
     """A fully validated construction plan with its selected data.
 
     ``gap_rank`` is the declared rank of the comparison gap between the two

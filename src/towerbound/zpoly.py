@@ -13,7 +13,7 @@ API in ``__all__`` over Z and the resultant over Q.  Arithmetic is exact;
 from __future__ import annotations
 
 import operator
-from typing import Sequence
+from collections.abc import Sequence
 
 # The kernel stays out of __all__, whose names bench/tracing.py wraps: gf's time stays gf's.
 __all__ = [

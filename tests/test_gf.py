@@ -50,6 +50,26 @@ def test_extension_field_construction():
         ExtensionField(q=2, degree=2, generator=(1, 0, 1))  # (y+1)^2 reducible
 
 
+def _counted(calls: list, fn):
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    return counted
+
+
+def test_an_extension_field_certifies_its_generator_once(monkeypatch):
+    # The scan tests each candidate once, the first irreducible included, and
+    # q is proved prime once: the field keeps the scan's verdict.
+    tested, proved = [], []
+    monkeypatch.setattr(gf, "is_irreducible", _counted(tested, gf.is_irreducible))
+    monkeypatch.setattr(arith, "is_prime", _counted(proved, arith.is_prime))
+    K = build_extension_field(17, 6)
+    assert tested[-1][1] == K.generator
+    # c_0 runs fastest, so the generator is candidate number sum(c_i 17^i)
+    assert len(tested) == 1 + sum(c * 17**i for i, c in enumerate(K.generator[:-1]))
+    assert proved.count((17,)) == 1
+
+
 def test_extension_field_inverses_and_frobenius():
     rng = random.Random(2024)
     for (q, f) in ((2, 3), (3, 2), (5, 2), (7, 2)):

@@ -153,14 +153,20 @@ def test_the_tracers_hooks_resolve_in_the_package():
 
 
 def test_the_cli_starts_without_dataclasses_or_inspect():
-    # Importing them cost about two thirds of the CLI's start-up (`setup_s`):
-    # inspect pulls in ast, dis and tokenize.  decimal (about 1.8 ms) is
-    # imported only when a value is large enough to need it.  A fresh
-    # interpreter shows what importing the CLI alone loads.
+    # Start-up (`setup_s`) is importing the CLI and building its parser, and a
+    # fresh `python -S` interpreter, where no site hook preloads anything,
+    # shows what that alone loads.  inspect pulls in ast, dis and tokenize,
+    # and dataclasses imports inspect.  The json package loads its decoder
+    # and scanner besides the C encoder report uses (1.5 ms), and
+    # typing.NamedTuple compiled every record field's annotation.  decimal,
+    # random (wide primes only) and pathlib (--out only) are imported where
+    # they are needed.  Under -S on a 2-core host, import plus parser went
+    # from 31 to 19 ms (medians of 20 alternating runs, BENCH_cold-start.json).
     env = {**os.environ, "PYTHONPATH": str(PKG.parent)}
-    code = ("import sys, towerbound.cli; "
-            "print(sorted({'dataclasses', 'decimal', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    code = ("import sys, towerbound.cli; towerbound.cli.build_parser(); "
+            "print(sorted({'dataclasses', 'decimal', 'inspect', 'json', 'pathlib', "
+            "'random', 'typing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out == "[]\n"
 

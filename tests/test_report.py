@@ -4,6 +4,8 @@ the canonical JSON writer's record-list path, checked against ``json.dumps``."""
 import json
 import random
 
+import pytest
+
 from towerbound import report
 from towerbound.arith import format_decimal
 from towerbound.cyclotomic import CycloElement, cyclotomic_polynomial, parse_cyclo_element
@@ -169,3 +171,14 @@ def test_record_lists_match_json_dumps():
             assert (report._record_list(records, "\n") is not None) == flat, records
             taken, refused = taken + flat, refused + (not flat)
     assert taken > 300 and refused > 600  # both paths run often
+
+
+def test_stable_json_refuses_what_json_dumps_refuses():
+    # report reaches json's C encoder without the json package, so its
+    # refusal of a value is written here; the text must stay json's own
+    for bad in ({1, 2}, object(), {"a": [1, {2}]}, [{"k": 1}, {"k": frozenset()}]):
+        with pytest.raises(TypeError) as ours:
+            report.stable_json(bad)
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(bad, sort_keys=True, indent=2, ensure_ascii=True)
+        assert str(ours.value) == str(theirs.value)
