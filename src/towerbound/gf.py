@@ -131,7 +131,7 @@ class ExtensionField(namedtuple("ExtensionField", ("q", "degree", "generator")))
             raise ValueError("generator must be monic of the stated degree")
         elif not is_irreducible(base, generator):
             raise ValueError("generator polynomial is not irreducible")
-        self = super().__new__(cls, q, degree, generator)
+        self = super().__new__(cls, q, degree, tuple(generator))  # hashable, whatever came in
         self.base = base
         return self
 
@@ -197,8 +197,13 @@ class _Coords:
 
     def encode(self, a: Sequence[int]) -> int:
         n = 0
-        for c in reversed(a):
-            n = n * self.q + c % self.q
+        try:
+            for c in reversed(a):
+                n = n * self.q + c % self.q
+        except TypeError:
+            n = self.size  # not a sequence of ints
+        if n >= self.size:  # as when a nonzero coordinate runs past the degree
+            raise ValueError(f"{a!r} is not an element of F_{self.q}^{self.K.degree}")
         return n
 
     def decode(self, n: int) -> tuple[int, ...]:
@@ -332,11 +337,11 @@ def is_irreducible(K: Field, poly: Sequence) -> bool:
     if n <= 1:
         return n == 1
     images = _frobenius(C, f)
-    powers = [[0, 1]]  # powers[d] = x^(Q^d) mod f
-    for _ in range(n):
+    powers = [[0, 1], images[1]]  # powers[d] = x^(Q^d) mod f
+    for _ in range(n - 1):
         powers.append(_compose(C, powers[-1], images))
     return powers[n] == [0, 1] and all(
-        len(poly_gcd(C, poly_sub(C, powers[n // r], [0, 1]), f)) == 1
+        len(poly_gcd(C, f, poly_sub(C, powers[n // r], [0, 1]), 1)) == 1
         for r in arith.factorize(n)
     )
 
@@ -357,7 +362,7 @@ def distinct_degree_profile(K: Field, poly: Sequence) -> tuple[tuple[int, int], 
     if len(f) == 1:
         return ()
     fprime = poly_derivative(C, f)
-    if not fprime or len(poly_gcd(C, f, fprime)) != 1:
+    if not fprime or len(poly_gcd(C, f, fprime, 1)) != 1:
         raise NotSquarefree("polynomial has a repeated factor")
     x = [0, 1]
     profile: list[tuple[int, int]] = []
@@ -371,8 +376,11 @@ def distinct_degree_profile(K: Field, poly: Sequence) -> tuple[tuple[int, int], 
             profile.append((len(f) - 1, 1))
             break
         h = _compose(C, h, images)
-        g = poly_gcd(C, poly_sub(C, h, x), f)
-        if len(g) > 1:
+        if h == x:  # f divides x^(Q^d) - x, and its factors of degree < d are gone
+            profile.append((d, (len(f) - 1) // d))
+            break
+        g = poly_gcd(C, f, poly_sub(C, h, x), d)  # exact when its degree reaches d
+        if len(g) > d:
             profile.append((d, (len(g) - 1) // d))
             f, rem = poly_divmod(C, f, g)
             if rem:
@@ -450,7 +458,7 @@ def is_inert_in_relative_extension(
         raise ValueError("defining polynomial must be monic")
     sd = cyclotomic.splitting_data(q, base_conductor)
     F, f = _coded(PrimeField(q), poly)
-    if len(poly_gcd(F, f, poly_derivative(F, f))) > 1:
+    if len(poly_gcd(F, f, poly_derivative(F, f), 1)) > 1:
         raise DiscriminantDivisible(f"{q} divides the discriminant "
                                     f"{zpoly.discriminant(poly)} of the defining polynomial")
     verdict = math.gcd(zpoly.degree(poly), sd.f) == 1 and is_irreducible(F, f)

@@ -76,24 +76,33 @@ def poly_mul(K, a: Sequence, b: Sequence) -> list:
     return out
 
 
-def poly_divmod(K, a: Sequence, b: Sequence) -> tuple[list, list]:
+def _reduce(K, a: Sequence, b: Sequence) -> list:
+    """a divided by b in a copy of a: each quotient coefficient goes into the top slot
+    its step clears (Knuth's layout), so the remainder is the slots below deg b."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     nb = len(b)
-    if len(a) < nb:
-        return [], list(a)
     binv = 1 if b[-1] == 1 else K.inv(b[-1])  # a monic divisor is not inverted
-    rem, quo = list(a), [0] * (len(a) - nb + 1)
-    for shift in range(len(a) - nb, -1, -1):
-        top = rem[shift + nb - 1]
-        if top:
-            c = quo[shift] = top if binv == 1 else K.mul(top, binv)
-            K.axpy(rem, shift, K.neg(c), b)
-    return quo, poly_trim(rem[: nb - 1])
+    rem = list(a)
+    for top in range(len(a) - 1, nb - 2, -1):
+        c = rem[top]
+        if c:
+            if binv != 1:
+                c = K.mul(c, binv)
+            K.axpy(rem, top - nb + 1, K.neg(c), b)
+            rem[top] = c
+    return rem
+
+
+def poly_divmod(K, a: Sequence, b: Sequence) -> tuple[list, list]:
+    if len(a) < len(b):  # no step to take: spare the copy and the split
+        return [], list(a)
+    rem = _reduce(K, a, b)
+    return rem[len(b) - 1:], poly_trim(rem[: len(b) - 1])
 
 
 def poly_mod(K, a: Sequence, b: Sequence) -> list:
-    return poly_divmod(K, a, b)[1]
+    return poly_trim(_reduce(K, a, b)[: len(b) - 1])
 
 
 def poly_monic(K, a: Sequence) -> list:
@@ -103,21 +112,25 @@ def poly_monic(K, a: Sequence) -> list:
     return [K.mul(inv, c) for c in a]
 
 
-def poly_gcd(K, a: Sequence, b: Sequence) -> list:
-    while b:
+def poly_gcd(K, a: Sequence, b: Sequence, floor: int = 0) -> list:
+    """Monic gcd of a and b; with a degree ``floor`` d, Euclid stops at the first
+    remainder below degree d and returns it monic: a multiple of the gcd."""
+    while len(b) > floor:
         a, b = b, poly_mod(K, a, b)
-    return poly_monic(K, a)
+    return poly_monic(K, b or a)
 
 
 def poly_powmod(K, base: Sequence, e: int, mod: Sequence) -> list:
-    result = [1]
-    cur = poly_mod(K, base, mod)
-    while e > 0:
-        if e & 1:
-            result = poly_mod(K, poly_mul(K, result, cur), mod)
-        e >>= 1
-        if e:
-            cur = poly_mod(K, poly_mul(K, cur, cur), mod)
+    """base^e mod ``mod``, left to right, multiplying by base from the left."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    if not e:
+        return [1]
+    base = result = poly_mod(K, base, mod)
+    for bit in bin(e)[3:]:
+        result = poly_mod(K, poly_mul(K, result, result), mod)
+        if bit == "1":
+            result = poly_mod(K, poly_mul(K, base, result), mod)
     return result
 
 

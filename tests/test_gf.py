@@ -1,7 +1,9 @@
+import collections
 import functools
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -577,3 +579,93 @@ def test_is_irreducible_above_the_table_threshold_follows_lidl_niederreiter(q, f
             seen[over_q] += 1
             want = over_q and math.gcd(n, f) == 1
             assert is_irreducible(K, [K.from_int(c) for c in p]) == want, (q, f, p)
+
+
+# ---------------------------------------------------------------------------
+# field descriptors and malformed coefficients
+# ---------------------------------------------------------------------------
+
+
+def test_an_extension_field_given_a_list_generator_is_hashable_and_pickles():
+    import pickle
+
+    K = ExtensionField(2, 2, [1, 1, 1])
+    same = ExtensionField(2, 2, (1, 1, 1))
+    assert K.generator == (1, 1, 1) and K == same and hash(K) == hash(same)
+    assert {K: 1}[same] == 1
+    K.codes  # the tables built on first use travel with the field
+    back = pickle.loads(pickle.dumps(K))
+    assert back == K and hash(back) == hash(K) and back.base == PrimeField(2)
+    assert is_irreducible(back, [(0, 1), K.one, K.one])
+
+
+@pytest.mark.parametrize("q,f", [(2, 2), (37, 2)], ids=["zech", "coords"])
+def test_malformed_extension_coefficients_are_refused_by_name(q, f):
+    K = build_extension_field(q, f)
+    for bad in ((1, 0, 1), 1, "ab"):
+        for fn in (is_irreducible, distinct_degree_profile):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                fn(K, [bad, K.one, K.one])
+    assert is_irreducible(K, [(1,), K.zero, K.one]) == is_irreducible(K, [K.one, K.zero, K.one])
+
+
+# ---------------------------------------------------------------------------
+# degree profiles of products of chosen irreducibles
+# ---------------------------------------------------------------------------
+
+
+def _random_irreducibles(K, rng, degrees):
+    """Distinct random monic irreducibles of the given degrees, in K's codes."""
+    found = []
+    for d in degrees:
+        while True:
+            p = [rng.randrange(K.size) for _ in range(d)] + [1]
+            if p not in found and is_irreducible(K, _elements(K, p)):
+                found.append(p)
+                break
+    return found
+
+
+def _elements(K, codes):
+    return list(codes) if isinstance(K, PrimeField) else [K.codes.decode(c) for c in codes]
+
+
+def _product(K, polys):
+    C = K if isinstance(K, PrimeField) else K.codes
+    return functools.reduce(functools.partial(zpoly.poly_mul, C), polys, [1])
+
+
+@pytest.mark.parametrize("q,f", [(7, 1), (5, 2), (37, 2)], ids=["F_7", "F_25-zech", "F_1369-coords"])
+@pytest.mark.parametrize("degrees", [
+    (3, 3, 3), (1, 1, 1, 1), (2, 2),  # all of one degree: x^(Q^d) = x ends the run
+    (1, 3, 3), (2, 4, 4), (1, 2, 2, 4),  # factors removed, then x^(Q^d) = x or one factor left
+    (5,), (4,), (1,),  # a single irreducible
+])
+def test_profiles_of_products_of_chosen_irreducibles(q, f, degrees):
+    K = build_extension_field(q, f)
+    rng = random.Random(q * f * sum(degrees))
+    factors = _random_irreducibles(K, rng, degrees)
+    want = tuple(sorted(collections.Counter(degrees).items()))
+    poly = _elements(K, _product(K, factors))
+    assert distinct_degree_profile(K, poly) == want
+    unit = _elements(K, [rng.randrange(1, K.size)])[0]  # units are scaled away
+    assert distinct_degree_profile(K, [K.mul(unit, c) for c in poly]) == want
+    with pytest.raises(NotSquarefree):
+        distinct_degree_profile(K, _elements(K, _product(K, factors + factors[-1:])))
+
+
+def test_the_profile_stops_its_gcds_early(monkeypatch):
+    # Phi_55 mod 7 has two factors of degree 20 (7 has order 20 mod 55) and
+    # Phi_43 mod 5 is irreducible (5 has order 42 mod 43).  Euclid run to
+    # degree 0 at every step, with x^(Q^d) = x found by a gcd, made the
+    # profile reduce 304 and 212 times; the degree floor and the exit on
+    # x^(Q^d) = x leave 177 and 101.
+    calls = []
+    counted = _counted(calls, zpoly.poly_mod)
+    monkeypatch.setattr(zpoly, "poly_mod", counted)
+    monkeypatch.setattr(gf, "poly_mod", counted)
+    for m, q, want, full, now in ((55, 7, ((20, 2),), 304, 177), (43, 5, ((42, 1),), 212, 101)):
+        calls.clear()
+        phi = list(cyclotomic.cyclotomic_polynomial(m).poly)
+        assert distinct_degree_profile(PrimeField(q), phi) == want
+        assert len(calls) == now < full

@@ -157,3 +157,87 @@ def test_format_poly():
     assert report.format_poly([]) == "0"
     assert report.format_poly([5]) == "5"
     assert report.format_poly([0, -1]) == "-x"
+
+
+# ---------------------------------------------------------------------------
+# the kernel over F_q, a Zech-coded field and a coordinate-coded field
+# ---------------------------------------------------------------------------
+
+KERNEL_FIELDS = pytest.mark.parametrize("q,f", [(7, 1), (5, 2), (37, 2)],
+                                        ids=["F_7", "F_25-zech", "F_1369-coords"])
+
+
+def _kernel_field(q, f):
+    from towerbound import gf
+    K = gf.PrimeField(q) if f == 1 else gf.ExtensionField(q, f).codes
+    assert f == 1 or isinstance(K, gf._Zech) == (q**f <= gf._ZECH_MAX)
+    return K
+
+
+def _random_poly(rng, K, degree, lead=None):
+    """A polynomial in K's codes of exactly the given degree."""
+    return [rng.randrange(K.size) for _ in range(degree)] + [lead or rng.randrange(1, K.size)]
+
+
+def _check_division(K, a, b):
+    """a = quo * b + rem with deg rem < deg b, both parts trimmed; poly_mod agrees."""
+    quo, rem = zpoly.poly_divmod(K, a, b)
+    assert len(rem) < len(b) and (not rem or rem[-1]) and (not quo or quo[-1])
+    assert zpoly.poly_sub(K, a, zpoly.poly_mul(K, quo, b)) == rem
+    assert zpoly.poly_mod(K, a, b) == rem
+
+
+@KERNEL_FIELDS
+def test_division_identity_over_finite_fields(q, f):
+    K = _kernel_field(q, f)
+    rng = random.Random(q * f)
+    for _ in range(60):
+        b = _random_poly(rng, K, rng.randrange(0, 5), lead=rng.choice([1, None]))
+        _check_division(K, _random_poly(rng, K, rng.randrange(0, 9)), b)
+    _check_division(K, [], [2 % K.size or 1])
+    with pytest.raises(ZeroDivisionError):
+        zpoly.poly_mod(K, [1, 1], [])
+
+
+def test_division_identity_over_z_and_q():
+    rng = random.Random(12)
+    for _ in range(200):
+        a = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 9))] + [rng.choice([-2, 1, 5])]
+        low = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 5))]
+        _check_division(zpoly.Z, a, low + [rng.choice([1, -1])])
+        _check_division(zpoly.Q, [Fraction(c, 3) for c in a], low + [rng.choice([2, -3, 7])])
+
+
+@KERNEL_FIELDS
+def test_powmod_matches_repeated_products(q, f):
+    K = _kernel_field(q, f)
+    rng = random.Random(q + f)
+    for degree in (1, 3, 5):
+        mod = _random_poly(rng, K, degree)  # not monic: the kernel inverts its lead
+        for base in ([0, 1], _random_poly(rng, K, degree + 2)):
+            acc = [1]
+            for e in range(71):
+                assert zpoly.poly_powmod(K, base, e, mod) == acc, (degree, base, e)
+                acc = zpoly.poly_mod(K, zpoly.poly_mul(K, acc, base), mod)
+            with pytest.raises(ValueError):
+                zpoly.poly_powmod(K, base, -1, mod)
+
+
+@KERNEL_FIELDS
+def test_gcd_with_a_degree_floor_matches_the_full_gcd(q, f):
+    K = _kernel_field(q, f)
+    rng = random.Random(q - f)
+    for _ in range(40):
+        common = _random_poly(rng, K, rng.randrange(0, 4), lead=1)
+        a, b = (zpoly.poly_mul(K, common, _random_poly(rng, K, rng.randrange(0, 5)))
+                for _ in range(2))
+        g = zpoly.poly_gcd(K, a, b)
+        assert g[-1] == 1 and not zpoly.poly_mod(K, g, common)
+        assert not zpoly.poly_mod(K, a, g) and not zpoly.poly_mod(K, b, g)
+        for floor in range(len(a) + 2):
+            got = zpoly.poly_gcd(K, a, b, floor)
+            assert got[-1] == 1
+            if len(g) > floor:  # deg gcd >= floor: the floor changes nothing
+                assert got == g, (a, b, floor)
+            else:  # a remainder below the floor, which the gcd divides
+                assert len(got) <= floor and not zpoly.poly_mod(K, got, g), (a, b, floor)
