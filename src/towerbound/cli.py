@@ -25,13 +25,7 @@ from collections.abc import Callable, Sequence
 
 from . import arith, catalog, cyclotomic, report
 from .bounds import build_certificate
-from .fixtures import (
-    BUNDLED_AV,
-    build_plan,
-    bundled_cubic_base,
-    fixture_ids,
-    get_fixture,
-)
+from .fixtures import BUNDLED_AV, build_plan, fixture_ids, get_fixture
 from .reproduce import factor_check, run_reproduction
 from .tower import (
     CyclotomicBase,
@@ -255,8 +249,10 @@ def cmd_construct(args: argparse.Namespace) -> tuple[int, str, dict]:
         if args.conductor is None:
             raise ValueError("--base cyclotomic requires --conductor")
         base = CyclotomicBase(conductor=args.conductor)
+    elif args.conductor is not None:
+        raise ValueError("--conductor applies only to --base cyclotomic")
     else:
-        base = bundled_cubic_base(args.p)
+        base = get_fixture("example3").base
 
     av = None
     if args.av is not None:

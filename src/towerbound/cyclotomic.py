@@ -111,21 +111,31 @@ class CycloElement(Record):
 
     # -- ring operations ----------------------------------------------
 
-    def _check(self, other: "CycloElement") -> None:
+    def _check(self, other: object) -> bool:
+        """Whether ``other`` is an element too; one of another conductor raises.
+
+        On False the operator returns NotImplemented, so Python raises
+        TypeError for an int or a tuple operand, as it does for 2 * el.
+        """
+        if not isinstance(other, CycloElement):
+            return False
         if self.modulus.m != other.modulus.m:
             raise ModulusMismatch(
                 f"conductor {self.modulus.m} vs {other.modulus.m}"
             )
+        return True
 
     def __add__(self, other: "CycloElement") -> "CycloElement":
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         return CycloElement(
             self.modulus,
             tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
         )
 
     def __sub__(self, other: "CycloElement") -> "CycloElement":
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         return CycloElement(
             self.modulus,
             tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
@@ -135,7 +145,8 @@ class CycloElement(Record):
         return CycloElement(self.modulus, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other: "CycloElement") -> "CycloElement":
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         raw = zpoly.mul(list(self.coeffs), list(other.coeffs))
         return CycloElement.from_coeffs(self.modulus, raw)
 

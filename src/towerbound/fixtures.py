@@ -29,7 +29,6 @@ __all__ = [
     "fixture_ids",
     "get_fixture",
     "build_plan",
-    "bundled_cubic_base",
 ]
 
 
@@ -71,14 +70,6 @@ _EX3_ALPHA = int(
     "78402503779216655405023576089116738265320606062683342998991230977"
     "29859436684020023921188941416161094578321474807227626638759156142079702"
     "108239313497652801991067685041337071171617321114788409671453358754013644971"
-)
-
-_EX3_P = 7
-
-# x^3 - x^2 - 4x - 1 (constant term first) over Q(zeta_7), with the class
-# number the standard tables give
-_EX3_BASE = RelativeCubicBase(
-    base_conductor=7, poly=(-1, -4, -1, 1), class_number=13
 )
 
 _EX3_FACTOR_TARGET = 43
@@ -161,13 +152,15 @@ _FIXTURES: dict[str, Fixture] = {
         ell=3,
         rank_target=6,
         group=GroupSpec(
-            p=_EX3_P,
+            p=7,
             dimension=3,
             action_order=3,
             family=FAMILY_NILPOTENT,
             twist_exponent=1,
         ),
-        base=_EX3_BASE,
+        # x^3 - x^2 - 4x - 1 (constant term first) over Q(zeta_7), with the
+        # class number the standard tables give
+        base=RelativeCubicBase(conductor=7, poly=(-1, -4, -1, 1), class_number=13),
         pinned_primes=_EX3_PRIMES,
         pinned_alpha=_EX3_ALPHA,
         pins_primes=True,
@@ -189,17 +182,6 @@ def get_fixture(fixture_id: str) -> Fixture:
         raise KeyError(
             f"unknown fixture {fixture_id!r}; have {', '.join(fixture_ids())}"
         ) from None
-
-
-def bundled_cubic_base(p: int) -> RelativeCubicBase:
-    """The relative cubic base of example3, for its tower prime only.
-
-    The base validates its own hypotheses against p; they are discharged for
-    example3's p alone, so any other p raises ValueError.
-    """
-    if p != _EX3_P:
-        raise ValueError(f"the bundled cubic base assumes p = {_EX3_P}")
-    return _EX3_BASE
 
 
 def build_plan(fixture_id: str) -> TowerPlan:

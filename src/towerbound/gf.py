@@ -431,7 +431,7 @@ def build_extension_field(q: int, f: int) -> Field:
 def is_inert_in_relative_extension(
     def_poly: Sequence[int],
     q: int,
-    base_conductor: int,
+    conductor: int,
 ) -> list[bool]:
     """Whether the primes of Q(zeta_m) above q stay inert after adjoining a root.
 
@@ -456,7 +456,7 @@ def is_inert_in_relative_extension(
         raise ValueError("defining polynomial must have degree >= 1")
     if poly[-1] != 1:
         raise ValueError("defining polynomial must be monic")
-    sd = cyclotomic.splitting_data(q, base_conductor)
+    sd = cyclotomic.splitting_data(q, conductor)
     F, f = _coded(PrimeField(q), poly)
     if len(poly_gcd(F, f, poly_derivative(F, f), 1)) > 1:
         raise DiscriminantDivisible(f"{q} divides the discriminant "

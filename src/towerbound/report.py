@@ -97,14 +97,14 @@ def group_label(group) -> str:
 
 def base_label(base) -> str:
     """Q(zeta_c), or Q(zeta_c)(theta) with the cubic of a relative base."""
-    cyclo = f"Q(zeta_{base.cyclotomic_conductor})"
+    cyclo = f"Q(zeta_{base.conductor})"
     poly = getattr(base, "poly", None)  # a relative base's defining cubic
     return cyclo if poly is None else f"{cyclo}(theta), {format_poly(poly, 'theta')} = 0"
 
 
 def fixed_subfield_label(base) -> str:
     """K0: the real subfield of Q(zeta_c), or Q(zeta_c) under a relative base."""
-    cyclo = f"Q(zeta_{base.cyclotomic_conductor})"
+    cyclo = f"Q(zeta_{base.conductor})"
     return cyclo + "^+" if getattr(base, "poly", None) is None else cyclo
 
 
@@ -253,7 +253,7 @@ def _plan_doc(plan) -> dict:
     alpha = format_decimal(plan.alpha)
     base = {
         "description": base_label(plan.base),
-        "conductor": plan.base.cyclotomic_conductor,
+        "conductor": plan.base.conductor,
     }
     poly = getattr(plan.base, "poly", None)  # a relative base's defining cubic
     if poly is not None:

@@ -150,7 +150,7 @@ def _check_enumerated_primes(fx: Fixture, plan: TowerPlan) -> CheckResult:
 def _check_prime_qualification(fx: Fixture, plan: TowerPlan) -> CheckResult:
     base = fx.base
     assert isinstance(base, RelativeCubicBase)
-    conductor = base.base_conductor
+    conductor = base.conductor
     bad: list[str] = []
     for q in fx.pinned_primes:
         sd = cyclotomic.splitting_data(q, conductor)
@@ -286,7 +286,7 @@ def _check_factorization(fx: Fixture) -> CheckResult:
     assert fx.factor_strings is not None and fx.factor_target is not None
     target = fx.factor_target
     data, unit = factor_check(
-        fx.base.cyclotomic_conductor, target, fx.factor_strings, note_norms=True
+        fx.base.conductor, target, fx.factor_strings, note_norms=True
     )
     count, note = len(data["factors"]), _norm_note(data["factor_norms"], target)
     status, detail = {

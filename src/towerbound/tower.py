@@ -211,10 +211,6 @@ class CyclotomicBase(Record):
     def degree(self) -> int:
         return arith.euler_phi(self.conductor)
 
-    @property
-    def cyclotomic_conductor(self) -> int:
-        return self.conductor
-
     def validate(self, group: GroupSpec) -> list[CheckItem]:
         return [
             CheckItem(
@@ -283,7 +279,7 @@ class RelativeCubicBase(Record):
     without it the base cannot vouch for its hypotheses and fails validation.
     """
 
-    base_conductor: int
+    conductor: int
     poly: tuple[int, ...]  # monic cubic, constant term first
     class_number: int | None = None
 
@@ -291,15 +287,31 @@ class RelativeCubicBase(Record):
     def places_per_prime(self) -> int:
         # A qualifying rational prime splits completely downstairs and each of
         # the phi(c) primes there stays inert upstairs.
-        return arith.euler_phi(self.base_conductor)
-
-    @property
-    def cyclotomic_conductor(self) -> int:
-        return self.base_conductor
+        return arith.euler_phi(self.conductor)
 
     def validate(self, group: GroupSpec) -> list[CheckItem]:
+        """The relative step's shape, then the base-field facts the construction rests on.
+
+        A field containing the p-th roots of unity, with a single prime above
+        p and a class number prime to p, is p-rational: the last item.
+        """
+        p, c, h, f = group.p, self.conductor, self.class_number, self.cubic_conductor
         deg = len(self.poly) - 1
-        items = [
+        roots = p > 0 and c % p == 0  # p <= 0 fails p-prime; p = 0 must not divide
+        # p stays inert in the cubic field (conductor f != p) iff it is not a
+        # cube mod f, by the Artin map, and over the single place above p in
+        # Q(zeta_c) iff also 3 does not divide that place's residue degree d
+        # (0 if none): F_(p^d) contains F_(p^3) iff 3 | d (Lidl & Niederreiter,
+        # Finite Fields, Thm 3.46).  Z[theta] is the maximal order (disc = f^2),
+        # so by Dedekind's criterion this is the cubic staying irreducible mod p.
+        d = _single_place_degree(p, c)
+        unique = (
+            d % 3 != 0 and f is not None and p % f != 0
+            and pow(p, (f - 1) // 3, f) != 1
+        )
+        p_part_trivial = h is not None and p > 0 and h % p != 0
+        shape = "cyclic of order" if h is not None and arith.is_prime(h) else "of order"
+        return [
             CheckItem(
                 "base-cubic-monic",
                 bool(self.poly) and self.poly[-1] == 1 and deg == 3,
@@ -318,45 +330,7 @@ class RelativeCubicBase(Record):
                 "prime f = 1 (mod 3) prime to the conductor",
             ),
             CheckItem(
-                "base-supplies-p-roots",
-                self.base_conductor % group.p == 0,
-                f"conductor {self.base_conductor} must be divisible by "
-                f"p = {group.p} to supply its roots of unity",
-            ),
-            CheckItem(
-                "checklist-present",
-                self.class_number is not None,
-                "a relative base needs its class number",
-            ),
-        ]
-        if self.class_number is not None:
-            items += self._hypotheses(group.p, self.class_number)
-        return items
-
-    def _hypotheses(self, p: int, h: int) -> list[CheckItem]:
-        """The base-field facts the relative construction rests on.
-
-        A field containing the p-th roots of unity, with a single prime above
-        p and a class number prime to p, is p-rational: the last item.
-        """
-        c, f = self.base_conductor, self.cubic_conductor
-        roots = c % p == 0
-        # p stays inert in the cubic field (conductor f != p) iff it is not a
-        # cube mod f, by the Artin map, and over the single place above p in
-        # Q(zeta_c) iff also 3 does not divide that place's residue degree d
-        # (0 if none): F_(p^d) contains F_(p^3) iff 3 | d (Lidl & Niederreiter,
-        # Finite Fields, Thm 3.46).  Z[theta] is the maximal order (disc = f^2),
-        # so by Dedekind's criterion this is the cubic staying irreducible mod p.
-        d = _single_place_degree(p, c)
-        unique = (
-            d % 3 != 0 and f is not None and p % f != 0
-            and pow(p, (f - 1) // 3, f) != 1
-        )
-        p_part_trivial = h % p != 0
-        shape = "cyclic of order" if arith.is_prime(h) else "of order"
-        return [
-            CheckItem(
-                "checklist:totally-imaginary",
+                "base-is-imaginary",
                 c >= 3,
                 "the cyclotomic subfield has no real places, so neither does "
                 "any extension of it [computed-here]" if c >= 3 else
@@ -364,13 +338,13 @@ class RelativeCubicBase(Record):
                 f"totally real [computed-here]",
             ),
             CheckItem(
-                "checklist:contains-p-th-roots",
+                "contains-p-th-roots",
                 roots,
                 f"conductor {c} {'supplies' if roots else 'does not supply'} "
                 f"the {p}th roots of unity [computed-here]",
             ),
             CheckItem(
-                "checklist:unique-prime-above-p",
+                "unique-prime-above-p",
                 unique,
                 f"{p} has a single place in Q(zeta_{c}), of residue degree {d} "
                 f"prime to 3, and the cubic stays irreducible in its residue "
@@ -381,14 +355,15 @@ class RelativeCubicBase(Record):
                 f"not a cube mod f [computed-here]",
             ),
             CheckItem(
-                "checklist:class-group-p-part-trivial",
+                "class-group-p-part-trivial",
                 p_part_trivial,
+                "no class number given" if h is None else
                 f"the class group is {shape} {h} per standard tables; its "
                 f"{p}-part is {'trivial' if p_part_trivial else 'not trivial'} "
                 f"[external-database]",
             ),
             CheckItem(
-                "derived:p-rational",
+                "p-rational",
                 roots and unique and p_part_trivial,
                 "follows from the roots-of-unity, unique-prime and class-group items",
             ),
@@ -402,7 +377,7 @@ class RelativeCubicBase(Record):
     @property
     def classes(self) -> tuple[int, frozenset[int]]:
         """(N, the classes mod N of the qualifying primes); see prime_qualifies."""
-        return _cubic_classes(self.base_conductor, self.poly)
+        return _cubic_classes(self.conductor, self.poly)
 
     def prime_qualifies(self, q: int) -> bool:
         """Whether the prime ``q`` splits totally downstairs, then stays inert.
@@ -518,7 +493,7 @@ class TowerPlan(Record):
         """One place per prime, or per root of Phi_c mod q over a relative base."""
         if self.base.places_per_prime == 1:
             return tuple(PlaceRef(q) for q in self.selected_primes)
-        m = self.base.cyclotomic_conductor
+        m = self.base.conductor
         return tuple(
             PlaceRef(q, pr.root)
             for q in self.selected_primes
@@ -533,7 +508,7 @@ class TowerPlan(Record):
 
 def _first_effective_layer(base: BaseField, group: GroupSpec) -> int:
     """Smallest layer from which the degree bookkeeping is in force."""
-    base_deg = arith.euler_phi(base.cyclotomic_conductor)
+    base_deg = arith.euler_phi(base.conductor)
     n = 0
     need = 2 * group.dimension
     while base_deg * group.p**n < need:

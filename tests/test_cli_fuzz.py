@@ -220,14 +220,33 @@ def test_equal_primes_fail(run_cli):
     assert (code, out, err) == (1, "", "construct: ell = p = 3\n")
 
 
+CUBIC = ("construct", "--base", "bundled-cubic", "--family", "nilpotent-class-2",
+         "--dimension", "3", "--twist-exponent", "1", "--rank-target", "2")
+
+
 def test_usage_checks_in_construct_are_malformed(run_cli):
     code, _, err = run_cli("construct", "--ell", "5", "--p", "3", "--rank-target", "2")
     assert (code, err) == (2, "construct: --base cyclotomic requires --conductor\n")
-    code, _, err = run_cli(
-        "construct", "--ell", "3", "--p", "5", "--rank-target", "2",
-        "--base", "bundled-cubic",
+    code, out, err = run_cli(*CUBIC, "--ell", "3", "--p", "7", "--conductor", "5")
+    assert (code, out, err) == (
+        2, "", "construct: --conductor applies only to --base cyclotomic\n"
     )
-    assert (code, err) == (2, "construct: the bundled cubic base assumes p = 7\n")
+
+
+@pytest.mark.parametrize("p", ["2", "3", "5", "11", "13"])
+def test_bundled_cubic_base_fails_validation_for_p_other_than_7(run_cli, p):
+    # Conductor 7 supplies only the 7th roots of unity, and the
+    # contains-p-th-roots item is what refuses every other p (ell must
+    # differ from p, which is its own refusal).
+    code, out, err = run_cli(*CUBIC, "--ell", "5" if p == "3" else "3", "--p", p)
+    assert (code, out) == (1, "")
+    head = err.splitlines()[0]
+    assert head.startswith("construct: validation failed: ")
+    assert "contains-p-th-roots" in head.split(": ")[2].split(", ")
+    assert (f"  [FAIL] contains-p-th-roots (conductor 7 does not supply the {p}th "
+            f"roots of unity [computed-here])\n") in err
+    code, out, err = run_cli(*CUBIC, "--ell", "3", "--p", "7")
+    assert (code, err) == (0, "") and out
 
 
 def test_huge_conductor_for_verify_factorization_is_malformed(run_cli):

@@ -103,10 +103,12 @@ def test_modulus_mismatch():
 
 
 def test_an_int_times_an_element_raises():
-    # Elements are tuples underneath; 2 * a must not repeat the tuple.
+    # Elements are tuples underneath; 2 * a must not repeat the tuple, and an
+    # operand that is not an element is Python's TypeError, on either side.
     a = CycloElement.integer(cyclotomic_polynomial(7), 3)
-    with pytest.raises(TypeError):
-        _ = 2 * a
+    for op in (lambda: 2 * a, lambda: a * 2, lambda: a + 1, lambda: a - (1, 2)):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_reduce_folds_mod_x_m_minus_1_like_the_division_by_phi_m():

@@ -306,9 +306,9 @@ def test_relative_prime_qualifies_matches_residue_field_route(monkeypatch):
 
     def oracle(base, q):
         try:
-            if cyclotomic.splitting_data(q, base.base_conductor).f != 1:
+            if cyclotomic.splitting_data(q, base.conductor).f != 1:
                 return False
-            return all(_inert_over_residue_field(base.poly, q, base.base_conductor))
+            return all(_inert_over_residue_field(base.poly, q, base.conductor))
         except (cyclotomic.RamifiedPrime, DiscriminantDivisible):
             return False
 
@@ -317,7 +317,7 @@ def test_relative_prime_qualifies_matches_residue_field_route(monkeypatch):
     for cubic, conductors in RELATIVE_CUBICS[:2]:
         accepted = 0
         for m in conductors:
-            base = RelativeCubicBase(base_conductor=m, poly=cubic)
+            base = RelativeCubicBase(conductor=m, poly=cubic)
             for q in primes:
                 got = base.prime_qualifies(q)
                 assert got == oracle(base, q), (cubic, m, q)
@@ -333,15 +333,15 @@ def test_relative_cubic_without_a_class_table_fails_validation():
     group = _order_3_group(7)
     for cubic, conductors in RELATIVE_CUBICS[2:]:
         for m in conductors:
-            assert RelativeCubicBase(base_conductor=m, poly=cubic).classes[1] == frozenset()
-        base = RelativeCubicBase(base_conductor=7, poly=cubic, class_number=1)
+            assert RelativeCubicBase(conductor=m, poly=cubic).classes[1] == frozenset()
+        base = RelativeCubicBase(conductor=7, poly=cubic, class_number=1)
         with pytest.raises(ValidationFailed) as exc:
             build_tower_plan(3, group, base, 6)
         assert [i.name for i in exc.value.report.failures] == [
-            "base-cubic-cyclic", "checklist:unique-prime-above-p", "derived:p-rational",
+            "base-cubic-cyclic", "unique-prime-above-p", "p-rational",
         ]
     # a polynomial that is not a monic cubic gets an empty table too
-    assert RelativeCubicBase(base_conductor=7, poly=(1, 2, 1)).classes[1] == frozenset()
+    assert RelativeCubicBase(conductor=7, poly=(1, 2, 1)).classes[1] == frozenset()
 
 
 def _order_3_group(p):
@@ -369,7 +369,7 @@ def test_a_class_table_implies_an_irreducible_cubic():
     tabled = 0
     for c0, c1, c2 in itertools.product(range(-12, 13), repeat=3):
         cubic = (c0, c1, c2, 1)
-        if RelativeCubicBase(base_conductor=1, poly=cubic).classes[1]:
+        if RelativeCubicBase(conductor=1, poly=cubic).classes[1]:
             assert not _has_integer_root(cubic), cubic
             tabled += 1
     assert tabled == 48
@@ -385,7 +385,7 @@ def test_unique_prime_item_matches_the_rabin_test():
     primes = [p for p in range(2, 2000) if arith.is_prime(p)]
     composite = 0
     for cubic, _ in RELATIVE_CUBICS[:2]:
-        f = RelativeCubicBase(base_conductor=1, poly=cubic).cubic_conductor
+        f = RelativeCubicBase(conductor=1, poly=cubic).cubic_conductor
         seen = set()
         for p in primes:
             if p == f:
@@ -396,9 +396,9 @@ def test_unique_prime_item_matches_the_rabin_test():
                 while r % p == 0:
                     r //= p
                 sd = cyclotomic.splitting_data(p, r)
-                base = RelativeCubicBase(base_conductor=c, poly=cubic, class_number=1)
+                base = RelativeCubicBase(conductor=c, poly=cubic, class_number=1)
                 got = next(i.ok for i in base.validate(_order_3_group(p))
-                           if i.name == "checklist:unique-prime-above-p")
+                           if i.name == "unique-prime-above-p")
                 assert got == (sd.g == 1 and math.gcd(3, sd.f) == 1 and irreducible), (
                     cubic, c, p,
                 )

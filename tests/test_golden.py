@@ -56,25 +56,25 @@ GOLDEN = [
     (
         'reproduce example3',
         0,
-        "beba51c9fe5002483090f86878c1605e40bb2c04a7321ba7a900f9b839bf38ba",
+        "730e0dd6f6f2fdd2c0219fdf8c5ccda0c9472213d953eec5413f1d24b08de5da",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     (
         'reproduce example3 --json',
         0,
-        "cd587e28354c90e6238bd5b094a1ce641b5709741d39968bd76952135b8f0bca",
+        "11abeb686440b481016e01edae8ac44ba07e7b37a533d2ff15039c8a6662a8c1",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     (
         'reproduce all',
         0,
-        "4df694075c181a1faeb043af7d44c3a1aa4bb3bebd8960768a1e55176d0092d1",
+        "9113c829d32e85d698c1e2434368251c78b9581258b7b87c1237425edd57dfab",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     (
         'reproduce all --json',
         0,
-        "4958992ac98c411bb1e55eba62cfd89570ebd0b8be774ccb4f2779df1b9eb20a",
+        "2a3ae011df70753a3e24d3eb0b3c923a49ed23561927e949fbf6738cb16183bf",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     (

@@ -9,7 +9,7 @@ import pytest
 
 from towerbound import arith, cyclotomic, report
 from towerbound.bounds import build_certificate
-from towerbound.fixtures import bundled_cubic_base
+from towerbound.fixtures import build_plan, fixture_ids, get_fixture
 from towerbound.tower import (
     CyclotomicBase,
     EqualPrimes,
@@ -77,18 +77,18 @@ def test_ramified_place_target_values():
 
 
 def _cubic(class_number=13, conductor=7):
-    return RelativeCubicBase(base_conductor=conductor, poly=(-1, -4, -1, 1),
+    return RelativeCubicBase(conductor=conductor, poly=(-1, -4, -1, 1),
                              class_number=class_number)
 
 
 def test_relative_base_derives_p_rationality():
     items = _cubic().validate(NILPOTENT)
     assert all(i.ok for i in items)
-    assert items[-1].name == "derived:p-rational"
+    assert items[-1].name == "p-rational"
     # a class number divisible by p breaks the class-group item, and with it
     # p-rationality, and nothing else
     failed = [i.name for i in _cubic(class_number=14).validate(NILPOTENT) if not i.ok]
-    assert failed == ["checklist:class-group-p-part-trivial", "derived:p-rational"]
+    assert failed == ["class-group-p-part-trivial", "p-rational"]
 
 
 def test_relative_base_over_the_rationals_is_totally_real():
@@ -96,16 +96,11 @@ def test_relative_base_over_the_rationals_is_totally_real():
     # complex places and no 7th roots of unity; 7 stays inert in it, so the
     # single place above 7 survives.
     failed = [i.name for i in _cubic(conductor=1).validate(NILPOTENT) if not i.ok]
-    assert failed == [
-        "base-supplies-p-roots",
-        "checklist:totally-imaginary",
-        "checklist:contains-p-th-roots",
-        "derived:p-rational",
-    ]
+    assert failed == ["base-is-imaginary", "contains-p-th-roots", "p-rational"]
 
 
 def test_bundled_base_validates_its_own_hypotheses():
-    items = bundled_cubic_base(7).validate(NILPOTENT)
+    items = get_fixture("example3").base.validate(NILPOTENT)
     assert [(i.name, i.ok, i.detail) for i in items] == [
         ("base-cubic-monic", True, "relative step must be a monic cubic"),
         ("base-action-order-matches-step", True,
@@ -113,24 +108,34 @@ def test_bundled_base_validates_its_own_hypotheses():
         ("base-cubic-cyclic", True,
          "the cubic must be irreducible with discriminant f^2 for a prime "
          "f = 1 (mod 3) prime to the conductor"),
-        ("base-supplies-p-roots", True,
-         "conductor 7 must be divisible by p = 7 to supply its roots of unity"),
-        ("checklist-present", True, "a relative base needs its class number"),
-        ("checklist:totally-imaginary", True,
+        ("base-is-imaginary", True,
          "the cyclotomic subfield has no real places, so neither does any "
          "extension of it [computed-here]"),
-        ("checklist:contains-p-th-roots", True,
+        ("contains-p-th-roots", True,
          "conductor 7 supplies the 7th roots of unity [computed-here]"),
-        ("checklist:unique-prime-above-p", True,
+        ("unique-prime-above-p", True,
          "7 has a single place in Q(zeta_7), of residue degree 1 prime to 3, "
          "and the cubic stays irreducible in its residue field (disc = 169 is "
          "prime to 7) [computed-here]"),
-        ("checklist:class-group-p-part-trivial", True,
+        ("class-group-p-part-trivial", True,
          "the class group is cyclic of order 13 per standard tables; its "
          "7-part is trivial [external-database]"),
-        ("derived:p-rational", True,
+        ("p-rational", True,
          "follows from the roots-of-unity, unique-prime and class-group items"),
     ]
+
+
+def test_each_base_fact_has_one_name():
+    # A fact both bases check carries one name in both lists, and no plan
+    # lists a name twice: the three fixtures' and the bundled construct's.
+    cubic = get_fixture("example3").base
+    for items in (CyclotomicBase(3).validate(ABELIAN_1), cubic.validate(NILPOTENT)):
+        assert {"base-is-imaginary", "unique-prime-above-p"} <= {i.name for i in items}
+    plans = [build_plan(fid) for fid in fixture_ids()]
+    plans.append(build_tower_plan(3, NILPOTENT, cubic, 2))
+    for plan in plans:
+        names = [i.name for i in plan.validation.items]
+        assert len(names) == len(set(names)), names
 
 
 def test_unique_prime_above_p_over_a_conductor_with_another_prime():
@@ -142,7 +147,7 @@ def test_unique_prime_above_p_over_a_conductor_with_another_prime():
     three = GroupSpec(p=3, dimension=3, action_order=3, family=FAMILY_NILPOTENT,
                       twist_exponent=1)
     failed = [i.name for i in _cubic(conductor=21).validate(three) if not i.ok]
-    assert failed == ["checklist:unique-prime-above-p", "derived:p-rational"]
+    assert failed == ["unique-prime-above-p", "p-rational"]
 
 
 def test_cyclotomic_unique_prime_item_matches_splitting_data():
@@ -192,7 +197,7 @@ def test_first_effective_layer_above_0_over_the_bundled_cubic(run_cli):
     assert f"  [warning:PRE-EFFECTIVE-LAYER] {caveat[0]['message']}" in out.splitlines()
     for dim, layer in ((3, 0), (4, 1), (21, 1), (22, 2), (147, 2), (148, 3)):
         group = GroupSpec(p=7, dimension=dim, action_order=3)
-        plan = build_tower_plan(3, group, bundled_cubic_base(7), 2)
+        plan = build_tower_plan(3, group, get_fixture("example3").base, 2)
         assert plan.first_effective_layer == layer, dim
         assert min(n for n in range(8) if 6 * 7**n >= 2 * dim) == layer, dim
         codes = [d.code for d in build_certificate(plan, n_max=0).diagnostics]
@@ -285,7 +290,12 @@ def test_build_plan_primes_override_is_validated():
 def test_build_plan_relative_needs_checklist():
     with pytest.raises(ValidationFailed) as exc:
         build_tower_plan(3, NILPOTENT, _cubic(class_number=None), 6)
-    assert [i.name for i in exc.value.report.failures] == ["checklist-present"]
+    failures = exc.value.report.failures
+    assert [(i.name, i.detail) for i in failures] == [
+        ("class-group-p-part-trivial", "no class number given"),
+        ("p-rational",
+         "follows from the roots-of-unity, unique-prime and class-group items"),
+    ]
 
 
 def test_relative_base_places():
@@ -350,7 +360,7 @@ def test_bundled_cubic_qualifies_by_residue_class_below_a_million():
     # q = 1 (mod 7) splits completely in Q(zeta_7), q = 13 divides the
     # discriminant, and the cubic stays inert over F_q iff it has no root.
     cubic = (-1, -4, -1, 1)
-    base = RelativeCubicBase(base_conductor=7, poly=cubic)
+    base = RelativeCubicBase(conductor=7, poly=cubic)
     limit = 10**6
     sieve = bytearray([1]) * limit
     sieve[:2] = b"\0\0"
