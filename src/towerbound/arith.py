@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: primality, orders and generators mod n, prime streams.
+"""Exact integer arithmetic: primality, orders mod n, prime streams.
 
 Everything here works on Python's built-in arbitrary-precision ``int``;
 values in the hundreds of digits are routine and nothing ever rounds.
@@ -28,7 +28,6 @@ __all__ = [
     "euler_phi",
     "mult_order",
     "least_conductor",
-    "unit_generators",
     "primes",
     "primes_ascending",
 ]
@@ -255,23 +254,6 @@ def mult_order(a: int, m: int) -> int:
 def least_conductor(m: int) -> int:
     """The least n with Q(zeta_n) = Q(zeta_m): m/2 when m = 2 (mod 4), m otherwise."""
     return m // 2 if m % 4 == 2 else m
-
-
-@lru_cache(maxsize=None)
-def unit_generators(n: int) -> frozenset[int]:
-    """The residues mod ``n`` >= 1 that generate (Z/n)*; empty when it is not cyclic.
-
-    It is cyclic iff n is 1, 2, 4, r^k or 2 r^k for an odd prime r, and then
-    its generators are g^k for one generator g and k prime to phi(n).
-    """
-    if n < 1:
-        raise ValueError("unit_generators expects n >= 1")
-    rest = least_conductor(n)  # (Z/2k)* = (Z/k)* for odd k
-    if n not in (1, 2, 4) and (rest % 2 == 0 or len(factorize(rest)) != 1):
-        return frozenset()
-    phi = euler_phi(n)
-    g = next(a for a in range(n) if math.gcd(a, n) == 1 and mult_order(a, n) == phi)
-    return frozenset(pow(g, k, n) for k in range(phi) if math.gcd(k, phi) == 1)
 
 
 # The sieve covers the odd numbers below the default search ceiling, in

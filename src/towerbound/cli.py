@@ -287,15 +287,14 @@ def cmd_split(args: argparse.Namespace) -> tuple[int, str, dict]:
 
 
 def cmd_inert_primes(args: argparse.Namespace) -> tuple[int, str, dict]:
-    if args.count and not arith.unit_generators(args.conductor):
+    base = CyclotomicBase(args.conductor)
+    if args.count and not base.classes[1]:
         raise arith.SearchExhausted(
             f"found only 0 of {args.count} primes below {args.ceiling}: "
             f"(Z/{args.conductor})* is not cyclic, so no prime is inert in "
             f"Q(zeta_{args.conductor})"
         )
-    found = select_primes(
-        CyclotomicBase(args.conductor), args.count, args.exclude, args.ceiling
-    )
+    found = select_primes(base, args.count, args.exclude, args.ceiling)
     return 0, "inert-primes", {
         "conductor": args.conductor,
         "count": args.count,

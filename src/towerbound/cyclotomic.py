@@ -150,6 +150,10 @@ class CycloElement(Record):
         raw = zpoly.mul(list(self.coeffs), list(other.coeffs))
         return CycloElement.from_coeffs(self.modulus, raw)
 
+    def __radd__(self, other: object) -> "CycloElement":
+        # raised: NotImplemented would let tuple.__add__ concatenate (1, 2) + el
+        raise TypeError(f"cannot add {type(other).__name__!r} and 'CycloElement'")
+
     def __rmul__(self, other: object) -> "CycloElement":
         return NotImplemented  # not tuple repetition: 2 * el raises TypeError
 

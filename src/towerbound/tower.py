@@ -198,6 +198,52 @@ def ramified_place_target(
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _classes(base: BaseField) -> tuple[int, frozenset[int]]:
+    """(n, the r in H0 that generate H0/H): the classes mod n of the qualifying primes.
+
+    ``base.groups`` is (n, H0, H): the base is the fixed field K of H in
+    Q(zeta_n), over the fixed field K0 of H0.  A prime q not dividing n
+    splits completely in K0 iff q mod n lies in H0, and then each place
+    above it stays inert in the cyclic step K/K0 iff q generates H0/H
+    (Washington, Introduction to Cyclotomic Fields, Thm 2.13 and 3.7): no
+    q^(k/l) lies in H, for k = [H0 : H] and each prime l | k.  Built once
+    per base; empty when H0/H is not cyclic.
+    """
+    n, h0, h = base.groups
+    k = len(h0) // len(h) if h else 1
+    ells = arith.factorize(k)
+    return n, frozenset(r for r in h0 if all(pow(r, k // l, n) not in h for l in ells))
+
+
+def _prime_qualifies(base: BaseField, q: int) -> bool:
+    """Whether the prime ``q`` qualifies for ``base``: q mod n is in its classes.
+
+    ``q`` must already be prime.  Over Q(zeta_c) it is then inert; over a
+    relative cubic base it splits completely in Q(zeta_c), then stays inert.
+    """
+    n, residues = base.classes
+    return q % n in residues
+
+
+def _single_place(p: int, base: BaseField) -> bool:
+    """Whether the prime ``p`` has a single place in the base field.
+
+    With m the prime-to-p part of n, (Z/n)* maps onto (Z/m)* with kernel the
+    inertia group of p and Frobenius to p mod m: one place iff the images of
+    H and p generate (Z/m)* (Washington, Thm 2.13).
+    """
+    if not arith.is_prime(p):  # the law is for primes: p = 0 or 1 would pass it at n = 1
+        return False
+    n, _, h = base.groups
+    m = n // p ** arith.factorize(n).get(p, 0)
+    seen, coset = set(), {r % m for r in h}
+    while not coset <= seen:  # the cosets p^i H of the group they generate
+        seen |= coset
+        coset = {p * r % m for r in coset}
+    return len(seen) == arith.euler_phi(m)
+
+
 class CyclotomicBase(Record):
     """Base field Q(zeta_c): the degree-2 step is complex conjugation."""
 
@@ -211,6 +257,18 @@ class CyclotomicBase(Record):
     def degree(self) -> int:
         return arith.euler_phi(self.conductor)
 
+    @property
+    @functools.cache
+    def groups(self) -> tuple[int, frozenset[int], frozenset[int]]:
+        """(n, H0, H) = (``arith.least_conductor(c)``, (Z/n)*, {1}): Q(zeta_c) over Q."""
+        if self.conductor < 1:
+            raise ValueError(f"conductor {self.conductor} must be >= 1")
+        n = arith.least_conductor(self.conductor)
+        return n, frozenset(r for r in range(n) if math.gcd(r, n) == 1), frozenset({1 % n})
+
+    classes = property(_classes)
+    prime_qualifies = _prime_qualifies
+
     def validate(self, group: GroupSpec) -> list[CheckItem]:
         return [
             CheckItem(
@@ -220,7 +278,7 @@ class CyclotomicBase(Record):
             ),
             CheckItem(
                 "base-galois-group-cyclic",
-                bool(arith.unit_generators(self.conductor)),
+                bool(self.classes[1]),
                 f"(Z/{self.conductor})* must be cyclic",
             ),
             CheckItem(
@@ -235,41 +293,10 @@ class CyclotomicBase(Record):
             ),
             CheckItem(
                 "unique-prime-above-p",
-                _single_place_degree(group.p, self.conductor) > 0,
+                _single_place(group.p, self),
                 f"p = {group.p} must have a single place in Q(zeta_{self.conductor})",
             ),
         ]
-
-    @property
-    def classes(self) -> tuple[int, frozenset[int]]:
-        """(N, the classes mod N of the qualifying primes); see prime_qualifies."""
-        n = arith.least_conductor(self.conductor)
-        return n, arith.unit_generators(n)
-
-    def prime_qualifies(self, q: int) -> bool:
-        """Whether the prime ``q`` is inert in Q(zeta_c), as the selection wants.
-
-        ``q`` must already be prime.  Read at n = ``arith.least_conductor(c)``,
-        it is inert iff it does not divide n and generates (Z/n)* (Washington,
-        Introduction to Cyclotomic Fields, Thm 2.13), so it qualifies iff
-        q mod n is one of the generators; over n = 1 (the rationals) every
-        prime counts.
-        """
-        n, residues = self.classes
-        return q % n in residues
-
-
-def _single_place_degree(p: int, c: int) -> int:
-    """The residue degree of the single place above ``p`` in Q(zeta_c); 0 if none.
-
-    With r the prime-to-p part of c, a prime p is totally ramified in
-    Q(zeta_(c/r)) and has residue degree ord_r(p) in Q(zeta_r), so it has a
-    single place iff it generates (Z/r)* (Washington, Thm 2.13), of degree phi(r).
-    """
-    if not arith.is_prime(p):  # the law is for primes: p = 0 or 1 would pass it at c = 1
-        return 0
-    r = c // p ** arith.factorize(c).get(p, 0)
-    return arith.euler_phi(r) if p % r in arith.unit_generators(r) else 0
 
 
 class RelativeCubicBase(Record):
@@ -289,6 +316,27 @@ class RelativeCubicBase(Record):
         # the phi(c) primes there stays inert upstairs.
         return arith.euler_phi(self.conductor)
 
+    @property
+    @functools.cache
+    def groups(self) -> tuple[int, frozenset[int], frozenset[int]]:
+        """(nf, {r = 1 (mod n)}, its cubes mod f), n = ``arith.least_conductor(c)``.
+
+        An irreducible cubic of discriminant f^2, f a prime = 1 (mod 3), has
+        field discriminant f^2 (the quotient is a square, and no field has
+        discriminant 1), so by the conductor-discriminant formula (Washington,
+        Thm 3.11) it cuts out the cubic subfield of Q(zeta_f), the fixed field
+        of the cubes mod f.  Any other cubic, or f | n, gives no cubic step
+        over Q(zeta_c), and the triple is empty: (1, {}, {}).
+        """
+        n, f = CyclotomicBase(self.conductor).groups[0], self.cubic_conductor
+        if f is None or n % f == 0:
+            return 1, frozenset(), frozenset()
+        h0 = frozenset(r for r in range(1, n * f, n) if r % f)
+        return n * f, h0, frozenset(r for r in h0 if pow(r, (f - 1) // 3, f) == 1)
+
+    classes = property(_classes)
+    prime_qualifies = _prime_qualifies
+
     def validate(self, group: GroupSpec) -> list[CheckItem]:
         """The relative step's shape, then the base-field facts the construction rests on.
 
@@ -298,17 +346,7 @@ class RelativeCubicBase(Record):
         p, c, h, f = group.p, self.conductor, self.class_number, self.cubic_conductor
         deg = len(self.poly) - 1
         roots = p > 0 and c % p == 0  # p <= 0 fails p-prime; p = 0 must not divide
-        # p stays inert in the cubic field (conductor f != p) iff it is not a
-        # cube mod f, by the Artin map, and over the single place above p in
-        # Q(zeta_c) iff also 3 does not divide that place's residue degree d
-        # (0 if none): F_(p^d) contains F_(p^3) iff 3 | d (Lidl & Niederreiter,
-        # Finite Fields, Thm 3.46).  Z[theta] is the maximal order (disc = f^2),
-        # so by Dedekind's criterion this is the cubic staying irreducible mod p.
-        d = _single_place_degree(p, c)
-        unique = (
-            d % 3 != 0 and f is not None and p % f != 0
-            and pow(p, (f - 1) // 3, f) != 1
-        )
+        unique = p != f and _single_place(p, self)
         p_part_trivial = h is not None and p > 0 and h % p != 0
         shape = "cyclic of order" if h is not None and arith.is_prime(h) else "of order"
         return [
@@ -346,9 +384,10 @@ class RelativeCubicBase(Record):
             CheckItem(
                 "unique-prime-above-p",
                 unique,
-                f"{p} has a single place in Q(zeta_{c}), of residue degree {d} "
-                f"prime to 3, and the cubic stays irreducible in its residue "
-                f"field (disc = {f * f} is prime to {p}) [computed-here]" if unique
+                f"{p} has a single place in Q(zeta_{c}), of residue degree "
+                f"{arith.euler_phi(c // p ** arith.factorize(c).get(p, 0))} prime "
+                f"to 3, and the cubic stays irreducible in its residue field "
+                f"(disc = {f * f} is prime to {p}) [computed-here]" if unique
                 else f"not established: needs {p} to generate (Z/r)* for r the "
                 f"prime-to-{p} part of conductor {c}, 3 not dividing phi(r), "
                 f"disc = f^2 for a prime f = 1 (mod 3) other than {p}, and {p} "
@@ -374,28 +413,6 @@ class RelativeCubicBase(Record):
         """The prime f = 1 (mod 3) with discriminant f^2, or None for any other poly."""
         return _cubic_conductor(self.poly)
 
-    @property
-    def classes(self) -> tuple[int, frozenset[int]]:
-        """(N, the classes mod N of the qualifying primes); see prime_qualifies."""
-        return _cubic_classes(self.conductor, self.poly)
-
-    def prime_qualifies(self, q: int) -> bool:
-        """Whether the prime ``q`` splits totally downstairs, then stays inert.
-
-        ``q`` must already be prime.  It splits totally in Q(zeta_c) iff
-        q = 1 (mod n), for n = ``arith.least_conductor(c)``.  An
-        irreducible cubic of discriminant f^2, f a prime = 1 (mod 3), has
-        field discriminant f^2 (the quotient is a square, and no field has
-        discriminant 1), so by the conductor-discriminant formula (Washington,
-        Introduction to Cyclotomic Fields, Thm 3.11) it cuts out the cubic
-        subfield of Q(zeta_f).  By the Artin map, q != f stays inert there iff
-        q is not a cube mod f, so q qualifies iff its class mod nf is in the
-        set :attr:`classes` builds once per base.  Any other cubic fails the
-        ``base-cubic-cyclic`` validation item, and no prime qualifies for it.
-        """
-        n, residues = self.classes
-        return q % n in residues
-
 
 def _cubic_discriminant(c: int, b: int, a: int) -> int:
     """disc(x^3 + a x^2 + b x + c), in closed form: the base is a cubic by definition."""
@@ -418,23 +435,6 @@ def _cubic_conductor(poly: tuple[int, ...]) -> int | None:
     if f * f != disc or f % 3 != 1 or not arith.is_prime(f):
         return None
     return f
-
-
-@functools.cache
-def _cubic_classes(c: int, poly: tuple[int, ...]) -> tuple[int, frozenset[int]]:
-    """:attr:`RelativeCubicBase.classes`, built once per (conductor, cubic).
-
-    The set is empty unless the cubic is irreducible with discriminant
-    f^2 for a prime f = 1 (mod 3) that does not divide the conductor.
-    """
-    f = _cubic_conductor(poly)
-    if f is None:
-        return 1, frozenset()
-    step = arith.least_conductor(c)
-    n = step * f
-    return n, frozenset(
-        r for r in range(1, n, step) if r % f and pow(r, (f - 1) // 3, f) != 1
-    )
 
 
 BaseField = CyclotomicBase | RelativeCubicBase

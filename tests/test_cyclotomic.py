@@ -6,6 +6,7 @@ import pytest
 from towerbound import arith, report, zpoly
 from test_arith import _twelve_base_battery
 from towerbound.gf import PrimeField, distinct_degree_profile
+from towerbound.tower import CyclotomicBase
 from towerbound.cyclotomic import (
     _TERM,
     _WORD_PRIMES,
@@ -106,7 +107,8 @@ def test_an_int_times_an_element_raises():
     # Elements are tuples underneath; 2 * a must not repeat the tuple, and an
     # operand that is not an element is Python's TypeError, on either side.
     a = CycloElement.integer(cyclotomic_polynomial(7), 3)
-    for op in (lambda: 2 * a, lambda: a * 2, lambda: a + 1, lambda: a - (1, 2)):
+    for op in (lambda: 2 * a, lambda: a * 2, lambda: a + 1, lambda: a - (1, 2),
+               lambda: (1, 2) + a, lambda: 1 + a, lambda: (1, 2) - a):
         with pytest.raises(TypeError):
             op()
 
@@ -559,14 +561,17 @@ def test_parse_rejects_numbers_too_long_to_read():
 
 
 def test_unit_group_is_cyclic_matches_element_orders():
-    # The generators of (Z/m)* are the units whose order is its size phi(m);
-    # there are none when the group is not cyclic.  Mod 1 the unit is 0.
+    # Q(zeta_m)'s class table is the generators of (Z/n)*, n the least
+    # conductor: the units whose order is its size phi(n); there are none
+    # when the group is not cyclic.  Mod 1 the unit is 0.
     for m in range(1, 200):
-        units = [a for a in range(m) if math.gcd(a, m) == 1]
-        generators = {a for a in units if arith.mult_order(a, m) == len(units)}
-        assert arith.unit_generators(m) == generators, m
-    with pytest.raises(ValueError):
-        arith.unit_generators(0)
+        n, residues = CyclotomicBase(m).classes
+        assert n == (m // 2 if m % 4 == 2 else m), m
+        units = [a for a in range(n) if math.gcd(a, n) == 1]
+        generators = {a for a in units if arith.mult_order(a, n) == len(units)}
+        assert residues == generators, m
+    with pytest.raises(ValueError, match="^conductor 0 must be >= 1$"):
+        CyclotomicBase(0).classes
 
 
 def test_splitting_data_known_cases():

@@ -286,6 +286,14 @@ RELATIVE_CUBICS = (
     ((-1, -1, 0, 1), (7, 23)),  # x^3 - x - 1, disc -23, group S_3
 )
 
+# Gauss's period cubics of the primes f = 19, 37 and 79 (Berndt, Evans &
+# Williams, Gauss and Jacobi Sums, Ch. 3), each swept with a conductor f | c.
+PERIOD_CUBICS = (
+    ((-7, -6, 1, 1), (1, 4, 9, 19)),  # x^3 + x^2 - 6x - 7
+    ((11, -12, 1, 1), (1, 7, 12, 37)),  # x^3 + x^2 - 12x + 11
+    ((41, -26, 1, 1), (1, 3, 5, 79)),  # x^3 + x^2 - 26x + 41
+)
+
 
 def test_relative_prime_qualifies_matches_residue_field_route(monkeypatch):
     # Naive oracle: residue degree from splitting_data, then the F_{q^f}
@@ -312,9 +320,11 @@ def test_relative_prime_qualifies_matches_residue_field_route(monkeypatch):
         except (cyclotomic.RamifiedPrime, DiscriminantDivisible):
             return False
 
+    for (cubic, _), f in zip(PERIOD_CUBICS, (19, 37, 79)):
+        assert _discriminant(cubic) == f * f, cubic
     primes = [q for q in range(2, 20_000)
               if all(q % d for d in range(2, math.isqrt(q) + 1))]
-    for cubic, conductors in RELATIVE_CUBICS[:2]:
+    for cubic, conductors in RELATIVE_CUBICS[:2] + PERIOD_CUBICS:
         accepted = 0
         for m in conductors:
             base = RelativeCubicBase(conductor=m, poly=cubic)
@@ -380,11 +390,11 @@ def test_unique_prime_item_matches_the_rabin_test():
     # residue degree prime to 3, and the cubic stays irreducible mod p.  The
     # place count and degree are those of p in Q(zeta_r), r the prime-to-p
     # part of c, by splitting_data.  Every c = p * k, k < 40, for p < 60,
-    # then c = p up to 2000; the item decides by unit_generators and the
-    # Artin map.
+    # then c = p up to 2000; the item decides by whether the images of H and
+    # p generate (Z/m)*, m the prime-to-p part of the class table's modulus.
     primes = [p for p in range(2, 2000) if arith.is_prime(p)]
     composite = 0
-    for cubic, _ in RELATIVE_CUBICS[:2]:
+    for cubic, _ in RELATIVE_CUBICS[:2] + PERIOD_CUBICS:
         f = RelativeCubicBase(conductor=1, poly=cubic).cubic_conductor
         seen = set()
         for p in primes:
@@ -405,7 +415,7 @@ def test_unique_prime_item_matches_the_rabin_test():
                 seen.add(got)
                 composite += p < 60
         assert seen == {True, False}, cubic
-    assert composite == 1248
+    assert composite == 3159
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,9 @@ def _used_names(module: str, owner: str) -> tuple[set[str], set[str]]:
 
 
 def test_tower_decides_splitting_without_its_checking_route():
-    # Selection and validation read arith.unit_generators; splitting_data,
-    # which runs mult_order, is the independent route that checks both, so
+    # Selection and validation read the base's subgroups of (Z/n)*;
+    # splitting_data, which runs mult_order, is the independent route that
+    # checks both, so
     # tower runs no mult_order and takes from cyclotomic only the places
     # above a split prime.  Requiring primes_above keeps the rule from
     # passing on a reader that finds nothing.

@@ -408,6 +408,20 @@ def test_cyclotomic_prime_qualifies_matches_splitting_data():
     assert CyclotomicBase(500).classes[1] == frozenset()
 
 
+def test_a_conductor_below_1_is_refused_by_both_bases():
+    # The subgroups of (Z/n)* need n >= 1: a base on c = 0 or -3 names its
+    # conductor in a ValueError wherever it is asked to decide something.
+    for c in (0, -3):
+        bases = ((CyclotomicBase(c), ABELIAN_1),
+                 (RelativeCubicBase(c, (-1, -4, -1, 1), 13), NILPOTENT))
+        for base, group in bases:
+            for ask in (lambda: base.classes, lambda: base.prime_qualifies(43),
+                        lambda: base.validate(group),
+                        lambda: build_tower_plan(5, group, base, 2)):
+                with pytest.raises(ValueError, match=f"^conductor {c} must be >= 1$"):
+                    ask()
+
+
 def test_class_walk_matches_is_inert_at_the_sieve_segment_edges():
     # The walk filters whole sieve segments by class.  Starting at 3, the
     # segments end at these edges; the k-th qualifying prime is taken as the
