@@ -41,6 +41,28 @@ class SearchExhausted(RuntimeError):
     """Raised when a bounded prime search hits its ceiling before finding enough primes."""
 
 
+# The tower's two errors and the names the CLI offers as choices live here, and
+# tower and fixtures re-export or key by them, because arith is the one package
+# module the CLI loads before it parses an argument.
+class EqualPrimes(ValueError):
+    """Raised when the Kummer prime and the tower prime coincide."""
+
+
+class ValidationFailed(Exception):
+    """Raised when a construction's preconditions do not hold; carries the report."""
+
+    def __init__(self, report):
+        self.report = report
+        names = ", ".join(i.name for i in report.failures) or "unspecified"
+        super().__init__(f"validation failed: {names}")
+
+
+FAMILY_ABELIAN = "abelian"
+FAMILY_NILPOTENT = "nilpotent-class-2"
+FIXTURE_IDS = ("example1", "example2", "example3")
+BUNDLED_AV_LABELS = ("11a1", "19a1")
+
+
 class _RecordType(type):
     """Makes each subclass of :class:`Record` a ``collections.namedtuple``.
 

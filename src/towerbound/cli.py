@@ -15,6 +15,9 @@ digits bounds.CERTIFICATE_DIGIT_BUDGET also caps (exit 2); conductors must lie i
 digits; --count must be >= 0; and inert-primes --ceiling must lie in [0,
 arith.DEFAULT_SEARCH_CEILING] (10^7), which bounds the scan.  No argv ends in
 a traceback, which tests/test_cli_fuzz.py checks on seeded random argv.
+
+Start-up loads no package module but arith: each command imports the modules
+it runs in its own body, so that split, say, never loads gf or the fixtures.
 """
 
 from __future__ import annotations
@@ -23,20 +26,7 @@ import argparse
 import sys
 from collections.abc import Callable, Sequence
 
-from . import arith, catalog, cyclotomic, report
-from .bounds import build_certificate
-from .fixtures import BUNDLED_AV, build_plan, fixture_ids, get_fixture
-from .reproduce import factor_check, run_reproduction
-from .tower import (
-    CyclotomicBase,
-    EqualPrimes,
-    FAMILY_ABELIAN,
-    FAMILY_NILPOTENT,
-    GroupSpec,
-    ValidationFailed,
-    build_tower_plan,
-    select_primes,
-)
+from . import arith
 
 __all__ = ["main", "build_parser", "MAX_CONDUCTOR"]
 
@@ -49,9 +39,9 @@ MAX_CONDUCTOR = 500
 #: The exit code of each exception a command may raise, tried in order
 #: (EqualPrimes is a ValueError, so it must precede that entry).
 _EXIT_CODES = {
-    ValidationFailed: 1,
+    arith.ValidationFailed: 1,
     arith.SearchExhausted: 1,
-    EqualPrimes: 1,
+    arith.EqualPrimes: 1,
     ValueError: 2,
     OSError: 2,
 }
@@ -117,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, layered],
         help="rebuild a bundled example and diff it against the pinned data",
     )
-    rep.add_argument("example", choices=list(fixture_ids()) + ["all"])
+    rep.add_argument("example", choices=list(arith.FIXTURE_IDS) + ["all"])
     rep.set_defaults(func=cmd_reproduce)
 
     con = sub.add_parser(
@@ -132,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     con.add_argument(
         "--family",
-        choices=[FAMILY_ABELIAN, FAMILY_NILPOTENT],
-        default=FAMILY_ABELIAN,
+        choices=[arith.FAMILY_ABELIAN, arith.FAMILY_NILPOTENT],
+        default=arith.FAMILY_ABELIAN,
     )
     con.add_argument("--dimension", type=int, default=1)
     con.add_argument(
@@ -160,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     con.add_argument(
         "--av",
-        choices=sorted(BUNDLED_AV),
+        choices=sorted(arith.BUNDLED_AV_LABELS),
         default=None,
         help="add fine-Selmer columns for this bundled abelian variety",
     )
@@ -219,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, layered],
         help="per-layer bound certificate for a bundled example",
     )
-    cer.add_argument("example", choices=list(fixture_ids()))
+    cer.add_argument("example", choices=list(arith.FIXTURE_IDS))
     cer.set_defaults(func=cmd_certificate)
 
     return parser
@@ -231,13 +221,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> tuple[int, str, dict]:
-    ids = list(fixture_ids()) if args.example == "all" else [args.example]
+    from .reproduce import run_reproduction
+
+    ids = list(arith.FIXTURE_IDS) if args.example == "all" else [args.example]
     results = [run_reproduction(fid, n_max=args.n_max) for fid in ids]
     kind = "reproduction" if len(results) == 1 else "reproduction-batch"
     return max(r.exit_code for r in results), kind, {"results": results}
 
 
 def cmd_construct(args: argparse.Namespace) -> tuple[int, str, dict]:
+    from .bounds import build_certificate
+    from .tower import CyclotomicBase, GroupSpec, build_tower_plan
+
     group = GroupSpec(
         p=args.p,
         dimension=args.dimension,
@@ -252,10 +247,14 @@ def cmd_construct(args: argparse.Namespace) -> tuple[int, str, dict]:
     elif args.conductor is not None:
         raise ValueError("--conductor applies only to --base cyclotomic")
     else:
+        from .fixtures import get_fixture
+
         base = get_fixture("example3").base
 
     av = None
     if args.av is not None:
+        from .fixtures import BUNDLED_AV
+
         av = BUNDLED_AV[args.av]
         if args.gap_rank is None:
             args.gap_rank = 0
@@ -272,11 +271,15 @@ def cmd_construct(args: argparse.Namespace) -> tuple[int, str, dict]:
 
 
 def cmd_verify_factorization(args: argparse.Namespace) -> tuple[int, str, dict]:
+    from .reproduce import factor_check
+
     data, _ = factor_check(args.conductor, args.target, args.factor)
     return (1 if data["status"] == "mismatch" else 0), "factor-check", data
 
 
 def cmd_split(args: argparse.Namespace) -> tuple[int, str, dict]:
+    from . import catalog, cyclotomic
+
     try:
         sd = cyclotomic.splitting_data(args.prime, args.conductor)
     except cyclotomic.RamifiedPrime:
@@ -287,6 +290,10 @@ def cmd_split(args: argparse.Namespace) -> tuple[int, str, dict]:
 
 
 def cmd_inert_primes(args: argparse.Namespace) -> tuple[int, str, dict]:
+    from .tower import CyclotomicBase, select_primes
+
+    if args.exclude and min(args.exclude) < 2:
+        raise ValueError(f"--exclude must be >= 2, got {min(args.exclude)}")
     base = CyclotomicBase(args.conductor)
     if args.count and not base.classes[1]:
         raise arith.SearchExhausted(
@@ -304,6 +311,9 @@ def cmd_inert_primes(args: argparse.Namespace) -> tuple[int, str, dict]:
 
 
 def cmd_certificate(args: argparse.Namespace) -> tuple[int, str, dict]:
+    from .bounds import build_certificate
+    from .fixtures import build_plan, get_fixture
+
     fx = get_fixture(args.example)
     plan = build_plan(args.example)
     cert = build_certificate(plan, av=fx.av, n_max=args.n_max)
@@ -312,6 +322,8 @@ def cmd_certificate(args: argparse.Namespace) -> tuple[int, str, dict]:
 
 def _deliver(args: argparse.Namespace, kind: str, data: dict) -> None:
     """Render ``kind`` in the one format asked for, to --out or to stdout."""
+    from . import report
+
     if args.json:
         doc = report.wrap_document(kind, report.document_body(kind, data))
         text = report.stable_json(doc)
@@ -340,9 +352,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code
     except tuple(_EXIT_CODES) as err:
         print(f"{args.command}: {err}", file=sys.stderr)
-        if isinstance(err, ValidationFailed):
+        if isinstance(err, arith.ValidationFailed):
+            from .report import check_line
+
             for item in err.report.failures:
-                print(f"  {report.check_line(item)}", file=sys.stderr)
+                print(f"  {check_line(item)}", file=sys.stderr)
         return next(c for exc, c in _EXIT_CODES.items() if isinstance(err, exc))
 
 

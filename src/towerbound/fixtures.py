@@ -10,12 +10,10 @@ diagnostic catalogue instead of silently repairing them.
 from __future__ import annotations
 
 from . import catalog
-from .arith import Record
+from .arith import BUNDLED_AV_LABELS, FAMILY_ABELIAN, FAMILY_NILPOTENT, FIXTURE_IDS, Record
 from .bounds import AbelianVarietyDesc
 from .tower import (
     CyclotomicBase,
-    FAMILY_ABELIAN,
-    FAMILY_NILPOTENT,
     GroupSpec,
     RelativeCubicBase,
     TowerPlan,
@@ -100,7 +98,7 @@ _AV_19A1 = AbelianVarietyDesc(
 )
 
 #: the bundled abelian varieties by label, as ``construct --av`` offers them
-BUNDLED_AV = {av.label: av for av in (_AV_11A1, _AV_19A1)}
+BUNDLED_AV = dict(zip(BUNDLED_AV_LABELS, (_AV_11A1, _AV_19A1)))
 
 
 class Fixture(Record):
@@ -172,7 +170,7 @@ _FIXTURES: dict[str, Fixture] = {
 
 
 def fixture_ids() -> tuple[str, ...]:
-    return tuple(sorted(_FIXTURES))
+    return FIXTURE_IDS
 
 
 def get_fixture(fixture_id: str) -> Fixture:

@@ -15,7 +15,7 @@ import math
 from collections.abc import Iterable, Sequence
 
 from . import arith, catalog, cyclotomic
-from .arith import Record
+from .arith import FAMILY_ABELIAN, FAMILY_NILPOTENT, EqualPrimes, Record, ValidationFailed
 from .catalog import Diagnostic
 from .report import base_label
 
@@ -38,10 +38,6 @@ __all__ = [
 ]
 
 
-class EqualPrimes(ValueError):
-    """Raised when the Kummer prime and the tower prime coincide."""
-
-
 class CheckItem(Record):
     """One validated condition: what was checked, whether it holds, and why."""
 
@@ -62,19 +58,6 @@ class ValidationReport(Record):
     @property
     def failures(self) -> tuple[CheckItem, ...]:
         return tuple(i for i in self.items if not i.ok)
-
-
-class ValidationFailed(Exception):
-    """Raised when a construction's preconditions do not hold; carries the report."""
-
-    def __init__(self, report: ValidationReport):
-        self.report = report
-        names = ", ".join(i.name for i in report.failures) or "unspecified"
-        super().__init__(f"validation failed: {names}")
-
-
-FAMILY_ABELIAN = "abelian"
-FAMILY_NILPOTENT = "nilpotent-class-2"
 
 
 class GroupSpec(Record):

@@ -495,6 +495,17 @@ def test_inert_primes_none_when_unit_group_not_cyclic(run_cli):
     assert json.loads(out)["primes"] == []
 
 
+@pytest.mark.parametrize("value", ["-7", "0", "1"])
+def test_inert_primes_refuses_an_exclude_below_2(run_cli, value):
+    # No prime is below 2; the refusal precedes the search, as on a conductor
+    # whose unit group leaves nothing to search.
+    for conductor in ("9", "8"):
+        code, out, err = run_cli("inert-primes", conductor, "--count", "3", "--exclude", "5",
+                                 "--exclude", value, "--json")
+        assert (code, out) == (2, "")
+        assert err == f"inert-primes: --exclude must be >= 2, got {value}\n"
+
+
 def _reference_json(doc):
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 

@@ -6,7 +6,9 @@ rendering code moved into ``towerbound.report``.  The cases cover every
 subcommand in text and in ``--json``: each example reproduced and
 certified, three constructions and a failed validation, the three
 factorization verdicts, the three splitting types, and the inert-prime
-search with both kinds of exhaustion.
+search with both kinds of exhaustion.  The parser's help and usage lines
+are pinned too, for the top level and every subcommand, with each refusal
+of a choice that the parser reads from a table.
 """
 
 import hashlib
@@ -302,6 +304,73 @@ GOLDEN = [
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "17afe17787c8280559653c85701e57bf7a3c36a7884f0f1cef892348cc0aed87",
     ),
+    # the parser's help and its refusals of a choice, at 80 columns
+    (
+        '--help',
+        0,
+        "86d82b65e2c836c4ccca926a055c1bde3364f497c48def33e079060bd8eb0401",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        'reproduce --help',
+        0,
+        "da37d31b6dff0407af83b6bad275d3fdda114b946c46c1715dbb5364c231fa76",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        'construct --help',
+        0,
+        "b4898cbac8a91c769495ae96f63146b38facc6bba0b8f5f9703b28de86afbd57",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        'verify-factorization --help',
+        0,
+        "8144dea2e17c6c0bb9bb0ecc85ad2c0f8775060d80750b6120ac0154c567e061",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        'split --help',
+        0,
+        "39f771f3581d84198c6a282443e743dfa0788a2e548d9f34760f42672c3abe77",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        'inert-primes --help',
+        0,
+        "488a69e22395967b3ac8287288e96bc7fa640c32b8dc76ad7c2196987f19cbcf",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        'certificate --help',
+        0,
+        "6d3d5a2de6d56875fbdb5c7b7b384a5e5622a7e9e97c317ab0954e1be6132d1c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        'reproduce example9',
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "b3a9dcfa0b3e04397326bab81c8f29329b154fa5f2b3b673116fbe9062c457f0",
+    ),
+    (
+        'certificate example9',
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "193ec82caa438145b2ecd1ef03ebb322e26ac936235fabccae6e6ec4cab12273",
+    ),
+    (
+        'construct --ell 5 --p 3 --rank-target 2 --conductor 3 --av 99z9',
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "9aad319ed53dbe26f8a600622826b964851980dcf2876ad139c167ba24bfb7a9",
+    ),
+    (
+        'construct --ell 5 --p 3 --rank-target 2 --conductor 3 --family x',
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "b01b765459e080c027680aa0a5daf8c79344d28203d27bfe90bc2c94c025b6c8",
+    ),
 ]
 
 
@@ -312,6 +381,7 @@ def _sha256(text: str) -> str:
 @pytest.mark.parametrize(
     "argv, code, out_sha, err_sha", GOLDEN, ids=[g[0] for g in GOLDEN]
 )
-def test_golden_bytes(run_cli, argv, code, out_sha, err_sha):
+def test_golden_bytes(run_cli, monkeypatch, argv, code, out_sha, err_sha):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to the terminal
     got_code, out, err = run_cli(*shlex.split(argv.format(six=SIX_FACTORS)))
     assert (got_code, _sha256(out), _sha256(err)) == (code, out_sha, err_sha)

@@ -7,9 +7,13 @@ import inspect
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
-from towerbound import arith, gf, zpoly
+import pytest
+
+import towerbound
+from towerbound import arith, fixtures, gf, tower, zpoly
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "towerbound"
 
@@ -187,3 +191,81 @@ def test_the_cli_paths_leave_fractions_unimported():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out == "[0, 0] False\n"
+
+
+def _package_modules_after(code: str) -> list[str]:
+    """The package modules a fresh ``python -S`` interpreter holds after ``code``."""
+    env = {**os.environ, "PYTHONPATH": str(PKG.parent)}
+    code += "\nprint(sorted(m for m in sys.modules if m.partition('.')[0] == 'towerbound'))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def test_startup_loads_only_the_cli_and_arith():
+    # Start-up is what setup_s times: the parser reads its choices and the
+    # exit table's errors from arith, and nothing else of the package loads.
+    code = "import sys, towerbound.cli\ntowerbound.cli.build_parser()"
+    assert _package_modules_after(code) == ["towerbound", "towerbound.arith", "towerbound.cli"]
+    # a public name loads its own module and what that imports, no more
+    code = "import sys, towerbound\ntowerbound.splitting_data"
+    assert _package_modules_after(code) == [
+        "towerbound", "towerbound.arith", "towerbound.cyclotomic", "towerbound.zpoly"]
+
+
+@pytest.mark.parametrize("argv, needs, skips", [
+    (["split", "7", "9"], {"cyclotomic"}, {"fixtures", "bounds", "reproduce", "gf"}),
+    (["inert-primes", "9", "--count", "3"], {"tower"},
+     {"fixtures", "bounds", "reproduce", "gf"}),
+    (["construct", "--ell", "5", "--p", "3", "--rank-target", "2", "--conductor", "3"],
+     {"tower", "bounds"}, {"fixtures", "reproduce", "gf"}),
+])
+def test_each_command_loads_only_what_it_runs(argv, needs, skips):
+    code = ("import contextlib, io, sys, towerbound.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n")
+    loaded = {m.removeprefix("towerbound.") for m in _package_modules_after(code)}
+    assert needs <= loaded and not skips & loaded
+
+
+#: the public names, as the package exported them when it imported them eagerly
+PUBLIC = [
+    "__version__", "is_prime", "mul_many", "mult_order", "primes_ascending",
+    "cyclotomic_polynomial", "CycloElement", "SplittingData", "splitting_data",
+    "primes_above", "parse_cyclo_element", "build_extension_field", "is_irreducible",
+    "distinct_degree_profile", "is_inert_in_relative_extension", "GroupSpec",
+    "validate_group", "ramified_place_target", "CyclotomicBase", "RelativeCubicBase",
+    "TowerPlan", "build_tower_plan", "AbelianVarietyDesc", "BoundCertificate",
+    "build_certificate", "fixture_ids", "get_fixture", "build_plan", "run_reproduction",
+]
+
+
+def test_the_lazy_namespace_resolves_each_name_to_its_home_object():
+    assert towerbound.__all__ == PUBLIC
+    for name in PUBLIC[1:]:
+        value = getattr(towerbound, name)
+        home = importlib.import_module(value.__module__)
+        assert home.__name__.startswith("towerbound.") and getattr(home, name) is value, name
+    star: dict = {}
+    exec("from towerbound import *", star)
+    assert set(PUBLIC) <= set(star) and set(PUBLIC) <= set(dir(towerbound))
+    assert star["get_fixture"] is fixtures.get_fixture
+
+
+def test_an_unknown_public_name_fails_as_on_any_module():
+    with pytest.raises(AttributeError) as lazy:
+        towerbound.no_such_name
+    with pytest.raises(AttributeError) as plain:
+        types.ModuleType("towerbound").no_such_name
+    assert str(lazy.value) == str(plain.value)
+
+
+def test_the_parsers_tables_name_the_records_they_choose():
+    # tower re-exports the errors the CLI's exit table catches, and fixtures
+    # keys its records by the ids and labels the parser offers as choices
+    assert tower.ValidationFailed is arith.ValidationFailed
+    assert tower.EqualPrimes is arith.EqualPrimes
+    assert tuple(sorted(fixtures._FIXTURES)) == fixtures.fixture_ids() == arith.FIXTURE_IDS
+    assert all(fixtures.get_fixture(fid).fixture_id == fid for fid in arith.FIXTURE_IDS)
+    assert tuple(fixtures.BUNDLED_AV) == arith.BUNDLED_AV_LABELS
+    assert all(av.label == label for label, av in fixtures.BUNDLED_AV.items())
